@@ -70,12 +70,15 @@ object Lovo {
 
   /** Stage 1 — top-k fast search (Algorithm 2 lines 1–2): encode the key
     * phrases to a single query vector, search the chosen index variant,
-    * resolve boxes through the relational metadata join.
+    * resolve boxes through the relational metadata store. A query with no
+    * vocabulary tokens encodes to the zero vector, which scores every
+    * stored vector alike: it has no candidates, and no Spark job runs.
     */
   def fastSearch(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                  variant: AnnVariant = AnnVariant.IvfPq,
                  hnsw: Option[HnswIndex] = None): (Seq[Candidate], AnnStats) = {
     val q = TextEncoder.fastEmbedding(parsed)
+    if (q.forall(_ == 0f)) return (Seq.empty, AnnStats(0L, 0L, 0L, 0L, 0L))
     val (hits, stats) = variant match {
       case AnnVariant.IvfPq =>
         AnnSearch.search(b.index, q, k, b.cfg.topA, b.cfg.rescoreFactor, b.cfg.scanFraction)

@@ -1,9 +1,8 @@
 package repro.index
 
-import org.apache.spark.sql.functions.col
-import repro.util.VecOps
+import repro.util.{Scans, VecOps}
 
-/** A raw vector-database hit (before the metadata join). */
+/** A raw vector-database hit (before the metadata resolve). */
 final case class SearchHit(patchId: Long, frameId: Long, score: Double)
 
 /** Operation counts of one search — the cost model's inputs. */
@@ -14,24 +13,42 @@ final case class AnnStats(
     candidates: Long,     // vectors ADC-scored (postings scanned)
     rescored: Long)       // vectors exactly rescored
 
+/** The best rows of one scan, column-wise: `rank` is the score the scan
+  * ordered by, `exact` the inner product with the query.
+  */
+private[index] final class TopRows(
+    val patchId: Array[Long],
+    val frameId: Array[Long],
+    val rank: Array[Double],
+    val exact: Array[Double]) extends Serializable {
+  def size: Int = patchId.length
+}
+
 /** Approximate nearest-neighbor search over the inverted multi-index —
-  * the paper's Algorithm 1 as a driver-planned distributed lookup/join.
+  * the paper's Algorithm 1 as a driver-planned scan of one narrow Spark
+  * job.
   *
   * 1. Partition the (unit-normalized) query into P subvectors; build the
   *    ADC lookup table q_p · centroid (lines 1–5).
-  * 2. Rank the populated cells of the driver-side directory by their
+  * 2. On the driver, rank the populated cells of the directory by their
   *    summed LUT score and visit them best-first (the multi-sequence
   *    order) until an nprobe-style fraction of the collection is covered.
-  *    The top-A product set of line 6 is computed for diagnostics, but is
-  *    deliberately not a hard filter (see the inline note).
-  * 3. Join the selected cell ids against the distributed postings, score
-  *    each candidate with the LUT sum (lines 8–12).
-  * 4. Exactly rescore the best max(rescoreFactor * k, scanned/4)
-  *    candidates with the stored full vectors and return the top-k
-  *    (lines 13–17; ties broken by patch id for determinism).
+  * 3. One pass over the stored postings, coalesced to at most
+  *    `defaultParallelism` tasks and without a shuffle: each task keeps
+  *    the rows of the selected cells, scores them with the LUT sum (lines
+  *    8–12) and returns its best max(rescoreFactor * k, scanned/4) rows,
+  *    each with its exact inner product (line 14).
+  * 4. The driver merges the tasks' rows into the global best rows by ADC
+  *    score and returns the top-k by exact score (lines 13–17). Both
+  *    orders break ties by patch id, so the answer does not depend on the
+  *    partitioning.
   */
 object AnnSearch {
 
+  /** @param topA unused: the top-A product set of line 6 is not a filter
+    *             here (see the note on the scan order); kept for source
+    *             compatibility of positional callers
+    */
   def search(index: InvertedMultiIndex, q: Array[Float], k: Int,
              topA: Int = 4, rescoreFactor: Int = 20,
              scanFraction: Double = 0.35): (Seq[SearchHit], AnnStats) = {
@@ -40,75 +57,112 @@ object AnnSearch {
     val qn = VecOps.normalize(q)
     val table = pq.lut(qn)
 
-    // Top-A centroid codes per subspace (line 6).
-    val topPerSub: Array[Set[Int]] = table.map { row =>
-      row.zipWithIndex.sortBy { case (s, c) => (-s, c) }.take(topA).map(_._2).toSet
-    }
-
-    // Rank populated cells by summed LUT score (multi-sequence order).
-    val scoredCells = index.cellDirectory.iterator.map { case (cell, count) =>
-      val codes = pq.decodeCell(cell)
-      val inProduct = codes.zipWithIndex.forall { case (c, p) => topPerSub(p)(c) }
-      (cell, count, pq.adcScore(table, codes), inProduct)
-    }.toIndexedSeq
-
     // Multi-sequence scan order: cells strictly by descending summed LUT
     // score (Babenko-Lempitsky's best-first traversal), visited until the
-    // nprobe-style budget is covered. Product-of-top-A membership is NOT a
-    // hard filter — under encoder noise a relevant cell routinely has one
-    // off-top-A code, and letting the (background-dominated) product set
-    // preempt the budget destroys recall; it is reported via `cellsScored`
-    // diagnostics only. The budget itself follows the paper's w/o-ANNS
-    // fast-search deltas (0.06 s vs 0.15 s on Cityscapes): an effective
-    // scan of ~1/8 of the stored vectors.
-    val ordered = scoredCells.sortBy { case (cell, _, s, _) => (-s, cell) }
+    // nprobe-style budget is covered. The paper's product of per-subspace
+    // top-A codes is NOT used as a filter — under encoder noise a relevant
+    // cell routinely has one off-top-A code, and letting the (background-
+    // dominated) product set preempt the budget destroys recall. The
+    // budget itself follows the paper's w/o-ANNS fast-search deltas
+    // (0.06 s vs 0.15 s on Cityscapes): an effective scan of ~1/8 of the
+    // stored vectors.
+    val ids = index.cellIds
+    val counts = index.cellCounts
+    val cellScore = index.cellCodes.map(pq.adcScore(table, _))
+    val order = descending(cellScore, ids)
     val minCover = math.max(rescoreFactor.toLong * k,
       math.ceil(index.total * scanFraction).toLong)
-    val selected = Vector.newBuilder[Long]
     var covered = 0L
-    for ((cell, count, _, _) <- ordered if covered < minCover) {
-      selected += cell; covered += count
+    var nSelected = 0
+    while (nSelected < order.length && covered < minCover) {
+      covered += counts(order(nSelected)); nSelected += 1
     }
-    val cellSet = selected.result()
+    val cells = order.take(nSelected).map(ids(_)).sorted
 
-    // Distributed posting fetch: join selected cells against the index.
-    val spark = index.entries.sparkSession
-    import spark.implicits._
-    val cellsDf = spark.createDataset(cellSet).toDF("cellId")
-    val fetched = index.entries.join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
-
-    // ADC scoring of candidates (cheap LUT sum). The exact-rescore depth
-    // scales with the scan (ADC ordering is a weak ranker on near-parallel
-    // embeddings, so a fixed multiple of k would starve recall as the
-    // collection grows).
+    // The exact-rescore depth scales with the scan (ADC ordering is a weak
+    // ranker on near-parallel embeddings, so a fixed multiple of k would
+    // starve recall as the collection grows).
     val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
-    val tableB = table
-    val approx = fetched
-      .map(e => (e.patchId, e.frameId, {
-        var s = 0.0; var p = 0
-        while (p < tableB.length) { s += tableB(p)(e.codes(p)); p += 1 }
-        s
-      }, e.emb))
-      .toDF("patchId", "frameId", "approxScore", "emb")
-      .orderBy(col("approxScore").desc, col("patchId"))
-      .limit(rescoreDepth)
-      .as[(Long, Long, Double, Array[Float])]
-      .collect()
+    val approx = scanTop(index, qn, rescoreDepth)(
+      e => java.util.Arrays.binarySearch(cells, e.cellId) >= 0,
+      e => pq.adcScore(table, e.codes))
 
     // Exact rescoring with the stored full vectors (lines 13–15).
-    val exact = approx
-      .map { case (pid, fid, _, emb) => SearchHit(pid, fid, VecOps.dot(qn, emb)) }
-      .sortBy(h => (-h.score, h.patchId))
-      .take(k)
+    val exact = descending(approx.exact, approx.patchId).take(k)
+      .map(i => SearchHit(approx.patchId(i), approx.frameId(i), approx.exact(i)))
       .toSeq
 
     val stats = AnnStats(
       lutDots = pq.P.toLong * pq.M,
-      cellsScored = scoredCells.size,
-      cellsSelected = cellSet.size,
+      cellsScored = ids.length,
+      cellsSelected = cells.length,
       candidates = covered,
-      rescored = approx.length)
+      rescored = approx.size)
     (exact, stats)
+  }
+
+  /** The `n` best rows of the index among those that pass `keep`, by
+    * (`rank` descending, patch id ascending), each with its exact inner
+    * product with `qn`. One narrow Spark job: every task returns its own
+    * best `n`, and the driver merges them.
+    */
+  private[index] def scanTop(index: InvertedMultiIndex, qn: Array[Float], n: Int)(
+      keep: IndexedVec => Boolean, rank: IndexedVec => Double): TopRows = {
+    val parts = Scans.narrow(index.entries).mapPartitions { it =>
+      val rows = it.filter(keep).toArray
+      val ranks = rows.map(rank)
+      val top = best(ranks, rows.map(_.patchId), n)
+      Iterator.single(new TopRows(top.map(rows(_).patchId), top.map(rows(_).frameId),
+        top.map(ranks), top.map(i => VecOps.dot(qn, rows(i).emb))))
+    }.collect()
+    val all = new TopRows(parts.flatMap(_.patchId), parts.flatMap(_.frameId),
+      parts.flatMap(_.rank), parts.flatMap(_.exact))
+    val top = best(all.rank, all.patchId, n)
+    new TopRows(top.map(all.patchId), top.map(all.frameId), top.map(all.rank), top.map(all.exact))
+  }
+
+  /** Indices sorted by (score descending, id ascending), scores compared
+    * as `sortBy(-score)` does.
+    */
+  private def descending(score: Array[Double], id: Array[Long]): Array[Int] =
+    sortedIndices(score.length) { (a, b) =>
+      val c = java.lang.Double.compare(-score(a), -score(b))
+      if (c != 0) c < 0 else id(a) < id(b)
+    }
+
+  /** Indices of the `n` best rows by (rank descending, patch id
+    * ascending). Ranks compare as a Spark sort does: 0.0 equals -0.0.
+    */
+  private def best(rank: Array[Double], patchId: Array[Long], n: Int): Array[Int] =
+    sortedIndices(rank.length) { (a, b) =>
+      val c = if (rank(a) == rank(b)) 0 else java.lang.Double.compare(rank(b), rank(a))
+      if (c != 0) c < 0 else patchId(a) < patchId(b)
+    }.take(n)
+
+  /** 0 until n sorted by the strict total order `before`, without boxing
+    * (bottom-up merge sort).
+    */
+  private def sortedIndices(n: Int)(before: (Int, Int) => Boolean): Array[Int] = {
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var i = lo; var j = mid; var o = lo
+        while (o < hi) {
+          if (j >= hi || (i < mid && !before(src(j), src(i)))) { dst(o) = src(i); i += 1 }
+          else { dst(o) = src(j); j += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
   }
 
   /** Patch-id majority vote (paper Alg. 1 line 16): when a candidate is

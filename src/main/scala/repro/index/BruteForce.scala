@@ -1,28 +1,20 @@
 package repro.index
 
-import org.apache.spark.sql.functions.col
 import repro.util.VecOps
 
 /** Exhaustive exact scan — the w/o-ANNS ablation (Table IV) and the
-  * LOVO(BF) variant (Table V). Scores every stored vector with the exact
-  * inner product in a distributed map, then takes the global top-k.
+  * LOVO(BF) variant (Table V). The ANN's scan with every stored vector
+  * kept and ranked by its exact inner product: one narrow Spark job whose
+  * tasks return their local top-k, merged on the driver into the global
+  * top-k (ties broken by patch id).
   */
 object BruteForce {
 
   def search(index: InvertedMultiIndex, q: Array[Float], k: Int): (Seq[SearchHit], AnnStats) = {
     require(k > 0, "k must be positive")
     val qn = VecOps.normalize(q)
-    val spark = index.entries.sparkSession
-    import spark.implicits._
-    val hits = index.entries
-      .map(e => (e.patchId, e.frameId, VecOps.dot(qn, e.emb)))
-      .toDF("patchId", "frameId", "score")
-      .orderBy(col("score").desc, col("patchId"))
-      .limit(k)
-      .as[(Long, Long, Double)]
-      .collect()
-      .map { case (pid, fid, s) => SearchHit(pid, fid, s) }
-      .toSeq
+    val top = AnnSearch.scanTop(index, qn, k)(_ => true, e => VecOps.dot(qn, e.emb))
+    val hits = Array.tabulate(top.size)(i => SearchHit(top.patchId(i), top.frameId(i), top.exact(i))).toSeq
     // one exact pass over everything; no second rescore stage
     val stats = AnnStats(
       lutDots = 0L,

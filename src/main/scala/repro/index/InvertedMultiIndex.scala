@@ -19,8 +19,8 @@ final case class IndexedVec(
   * Entries live in a Spark Dataset partitioned by cell id — the
   * distributed analogue of per-cell posting lists. A small driver-side
   * cell directory (cell id -> posting count) lets the query planner pick
-  * candidate cells without touching the data, so a query only scans the
-  * selected cells' postings via a join (never the full collection).
+  * candidate cells without touching the data; a query's scan keeps only
+  * the selected cells' postings.
   */
 final case class InvertedMultiIndex(
     entries: Dataset[IndexedVec],
@@ -29,6 +29,12 @@ final case class InvertedMultiIndex(
     total: Long) {
 
   def nCells: Int = cellDirectory.size
+
+  // The directory as primitive arrays for the per-query cell ranking,
+  // derived once: cell ids, their posting counts and their P codes.
+  private[index] lazy val cellIds: Array[Long] = cellDirectory.keys.toArray
+  private[index] lazy val cellCounts: Array[Long] = cellIds.map(cellDirectory)
+  private[index] lazy val cellCodes: Array[Array[Int]] = cellIds.map(pq.decodeCell)
 }
 
 object InvertedMultiIndex {

@@ -1,6 +1,7 @@
 package repro.index
 
 import org.apache.spark.sql.Dataset
+import repro.util.Scans
 import repro.vit.{BBox, PatchRec}
 
 /** Relational side store row: patch id -> keyframe id + predicted box
@@ -17,13 +18,18 @@ final case class PatchMeta(
     ph: Double,
     isObject: Boolean)
 
-/** A fully resolved retrieval candidate after the metadata join. */
+/** A fully resolved retrieval candidate after the metadata resolve. */
 final case class Candidate(
     patchId: Long,
     frameId: Long,
     score: Double,
     box: BBox)
 
+/** The relational side of the storage module: a cached Dataset of
+  * [[PatchMeta]] rows, kept in its build partitioning. A query resolves
+  * its hits with one narrow scan that keeps the hits' rows by patch id;
+  * the store stays a plain table for SQL and oracle checks.
+  */
 object MetadataStore {
 
   /** Build the relational side of the storage module. */
@@ -33,21 +39,20 @@ object MetadataStore {
     patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
   }
 
-  /** Resolve search hits to boxes via an equi-join on patch id. Order of
-    * the input hits (descending score) is preserved in the output.
+  /** Resolve search hits to boxes by patch id: one narrow Spark job that
+    * keeps the hits' metadata rows (no join, no shuffle). The output
+    * follows the order of the input hits (descending score); hits with no
+    * metadata row are dropped.
     */
   def resolve(meta: Dataset[PatchMeta], hits: Seq[SearchHit]): Seq[Candidate] = {
     if (hits.isEmpty) return Seq.empty
-    val spark = meta.sparkSession
-    import spark.implicits._
-    val hitDs = spark.createDataset(hits.map(h => (h.patchId, h.score)))
-      .toDF("patchId", "score")
-    val joined = meta.join(hitDs, "patchId")
-      .select($"patchId", $"frameId", $"score", $"px", $"py", $"pw", $"ph")
-      .as[(Long, Long, Double, Double, Double, Double, Double)]
+    val ids = hits.map(_.patchId).toArray.sorted
+    val byId = Scans.narrow(meta)
+      .filter(m => java.util.Arrays.binarySearch(ids, m.patchId) >= 0)
       .collect()
-      .map { case (pid, fid, s, x, y, w, h) => pid -> Candidate(pid, fid, s, BBox(x, y, w, h)) }
+      .map(m => m.patchId -> m)
       .toMap
-    hits.flatMap(h => joined.get(h.patchId))
+    hits.flatMap(h => byId.get(h.patchId).map(m =>
+      Candidate(h.patchId, m.frameId, h.score, BBox(m.px, m.py, m.pw, m.ph))))
   }
 }

@@ -2,7 +2,7 @@ package repro.rerank
 
 import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, TextEncoder}
-import repro.util.Rng
+import repro.util.{Rng, Scans}
 import repro.vit.BBox
 import repro.video.{FrameRec, ObjRec, Scene}
 
@@ -30,7 +30,9 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * verb / positional tokens that fast search dropped. A bidirectional
   * cross-attention block fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
-  * box per object. Runs as a Spark map over the candidate frames.
+  * box per object. Runs as one narrow Spark job over the cached frames
+  * (at most `defaultParallelism` tasks, no shuffle) that keeps and scores
+  * the candidate frames.
   */
 object CrossModalRerank {
 
@@ -85,16 +87,14 @@ object CrossModalRerank {
   def rerank(frames: Dataset[FrameRec], candidateFrames: Seq[Long],
              parsed: TextEncoder.ParsedQuery,
              params: RerankParams = RerankParams()): RerankResult = {
-    val spark = frames.sparkSession
-    import spark.implicits._
-    val fset = candidateFrames.toSet
-    if (fset.isEmpty)
+    val ids = candidateFrames.toArray.sorted
+    if (ids.isEmpty)
       return RerankResult(Seq.empty, Seq.empty, 0, 0L, parsed.allTokens.size)
     val textTokens: Array[Array[Float]] =
       TextEncoder.rerankTokenEmbeddings(parsed).toArray
 
-    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] = frames
-      .filter(fr => fset.contains(fr.frameId))
+    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] = Scans.narrow(frames)
+      .filter(fr => java.util.Arrays.binarySearch(ids, fr.frameId) >= 0)
       .map { fr =>
         val (ls, objs) = rerankFrame(fr, textTokens, params)
         (fr.frameId, ls, objs, fr.objects.size)

@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
-import repro.testkit.Fixtures
+import repro.testkit.{Fixtures, SparkJobs}
 import repro.vit.PatchGrid
 
 class LovoSpec extends SparkSpec {
@@ -101,6 +101,23 @@ class LovoSpec extends SparkSpec {
     val a = Lovo.query(build, parsed, k = 40)
     val c = Lovo.query(build, parsed, k = 40)
     assert(a.candidates == c.candidates)
+  }
+
+  test("a query with no vocabulary tokens has no candidates and runs no Spark job") {
+    val parsed = TextEncoder.parse("xyzzy plugh")
+    assert(parsed.tokens.isEmpty)
+    for (variant <- Seq(AnnVariant.IvfPq, AnnVariant.Bf)) {
+      val ((cands, stats), work) = SparkJobs.count(spark.sparkContext) {
+        Lovo.fastSearch(build, parsed, k = 20, variant)
+      }
+      assert(cands.isEmpty, s"${AnnVariant.name(variant)} returned ${cands.size} candidates")
+      assert(stats.candidates == 0L && stats.rescored == 0L)
+      assert(work.jobs == 0)
+    }
+    val (res, work) = SparkJobs.count(spark.sparkContext)(Lovo.query(build, parsed, k = 20))
+    assert(res.candidates.isEmpty)
+    assert(res.rerank.forall(_.framesProcessed == 0))
+    assert(work.jobs == 0)
   }
 
   test("LovoConfig validates PQ dimensions") {

@@ -40,24 +40,23 @@ class MetadataStoreSpec extends SparkSpec {
 
   test("the metadata equi-join matches DuckDB (oracle)") {
     import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val hitDf = spark.createDataset(patches.take(7).map(p => (p.patchId, 1.0)).toSeq)
-      .toDF("patchId", "score").cache()
-    val metaDf = meta.toDF.select(
-      $"patchId".cast("string") as "patchId",
-      $"frameId".cast("string") as "frameId",
-      $"px".cast("string") as "px")
-    val sparkJoin = meta.toDF.join(hitDf, "patchId")
-      .select($"patchId".cast("string") as "patchId",
-              $"frameId".cast("string") as "frameId",
-              $"px".cast("double") as "px")
+    val hits = patches.take(7).zipWithIndex.map { case (p, i) =>
+      SearchHit(p.patchId, p.frameId, 1.0 + i)
+    }.toSeq :+ SearchHit(-999L, 0L, 0.5)
+    val resolved = MetadataStore.resolve(meta, hits)
+      .map(c => (c.patchId.toString, c.frameId.toString, c.score, c.box.x, c.box.h))
+      .toDF("patchId", "frameId", "score", "px", "ph")
     Oracle.assertEquivalent(
-      sparkJoin,
+      resolved,
       """SELECT m.patchId AS patchId, m.frameId AS frameId,
-        |       CAST(m.px AS DOUBLE) AS px
+        |       CAST(h.score AS DOUBLE) AS score,
+        |       CAST(m.px AS DOUBLE) AS px, CAST(m.ph AS DOUBLE) AS ph
         |FROM meta m JOIN hits h ON m.patchId = h.patchId""".stripMargin,
-      "meta" -> metaDf,
-      "hits" -> hitDf.select($"patchId".cast("string") as "patchId",
-                             $"score".cast("string") as "score"))
+      "meta" -> meta.toDF().select(
+        $"patchId".cast("string") as "patchId",
+        $"frameId".cast("string") as "frameId",
+        $"px".cast("string") as "px",
+        $"ph".cast("string") as "ph"),
+      "hits" -> hits.map(h => (h.patchId.toString, h.score.toString)).toDF("patchId", "score"))
   }
 }
