@@ -41,4 +41,14 @@ final case class LovoConfig(
     indexPartitions: Int = 16) {
   require(pqSubspaces * pqSubdim == repro.encoder.SemanticSpace.Dp,
     s"PQ dims ${pqSubspaces}x$pqSubdim must equal D'=${repro.encoder.SemanticSpace.Dp}")
+  require(pqCentroids >= 1, s"pqCentroids must be >= 1, got $pqCentroids")
+  require(kmeansIters >= 1, s"kmeansIters must be >= 1, got $kmeansIters")
+  require(rescoreFactor > 0, s"rescoreFactor must be > 0, got $rescoreFactor")
+  require(scanFraction > 0.0 && scanFraction <= 1.0,
+    s"scanFraction must be in (0, 1], got $scanFraction")
+  // the level multiplier is 1 / ln(hnswM): hnswM = 1 puts every node on every level
+  require(hnswM >= 2, s"hnswM must be >= 2, got $hnswM")
+  require(hnswEfConstruction >= 1, s"hnswEfConstruction must be >= 1, got $hnswEfConstruction")
+  require(hnswEfSearch >= 1, s"hnswEfSearch must be >= 1, got $hnswEfSearch")
+  require(indexPartitions >= 1, s"indexPartitions must be >= 1, got $indexPartitions")
 }

@@ -1,6 +1,5 @@
 package repro.index
 
-import scala.collection.mutable
 import org.apache.spark.sql.Dataset
 import repro.util.{Rng, VecOps}
 
@@ -13,6 +12,14 @@ import repro.util.{Rng, VecOps}
   * not shard naturally; like a vector DB's per-segment graphs, the build
   * collects the (small) fp32 embedding column to the driver. Distance
   * computations are counted for the cost model.
+  *
+  * Storage is flat and primitive: all vectors in one `float[]`, ids and
+  * frame ids in `long[]`, and per node one `int[]` holding, for each of
+  * its levels, a neighbour count followed by cap+1 neighbour slots (a
+  * list may exceed its cap by one before it is pruned). Layer searches
+  * use an epoch-stamped visited array and binary heaps on parallel
+  * `double[]`/`int[]` arrays, ordered by `java.lang.Double.compare` and
+  * then node index.
   */
 final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64,
                       val seed: Long = 7L) {
@@ -20,24 +27,44 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   private val maxM = M
   private val maxM0 = 2 * M
 
-  private val ids = mutable.ArrayBuffer[Long]()
-  private val frameIds = mutable.ArrayBuffer[Long]()
-  private val vecs = mutable.ArrayBuffer[Array[Float]]()
-  private val levels = mutable.ArrayBuffer[Int]()
-  // links(node)(level) = neighbour node indices
-  private val links = mutable.ArrayBuffer[Array[mutable.ArrayBuffer[Int]]]()
+  private var n = 0
+  private var ids = new Array[Long](16)
+  private var frameIds = new Array[Long](16)
+  private var vecs = new Array[Float](16 * dim)
+  // links(node): for level 0 then each upper level, [count, cap+1 slots]
+  private var links = new Array[Array[Int]](16)
+  // visited(node) == epoch marks a node seen by the current layer search
+  private var visited = new Array[Int](16)
+  private var epoch = 0
 
   private var entryPoint: Int = -1
   private var topLevel: Int = -1
 
+  private val candidates = new HnswHeap
+  private val results = new HnswHeap
+  // A layer search's answer, ascending by (distance, node)
+  private var foundNodes = new Array[Int](16)
+  private var foundDists = new Array[Double](16)
+  // shrink's sort buffers: a list holds at most maxM0 + 1 nodes
+  private val pruneDists = new Array[Double](maxM0 + 1)
+  private val pruneNodes = new Array[Int](maxM0 + 1)
+
   /** Distance computations performed so far (build + queries). */
   var distComps: Long = 0L
 
-  def size: Int = ids.length
+  def size: Int = n
 
-  private def dist(node: Int, q: Array[Float]): Double = {
+  /** Offset in `links(node)` of a level's count; its slots follow it. */
+  private def base(level: Int): Int =
+    if (level == 0) 0 else maxM0 + 2 + (level - 1) * (maxM + 2)
+
+  /** -dot(vector of `node`, q(qOff until qOff + dim)). */
+  private def dist(node: Int, q: Array[Float], qOff: Int): Double = {
     distComps += 1
-    -VecOps.dot(vecs(node), q)
+    val v = vecs; val off = node * dim
+    var s = 0.0; var i = 0
+    while (i < dim) { s += v(off + i).toDouble * q(qOff + i); i += 1 }
+    -s
   }
 
   private def drawLevel(id: Long): Int = {
@@ -45,92 +72,154 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     math.min(12, (-math.log(u) * mL).toInt)
   }
 
-  /** Greedy best-first search within one layer; returns up to ef nearest
-    * (node, dist) pairs, ascending by distance.
+  /** Greedy descent through one layer: from `start`, repeatedly scan the
+    * list of the node the pass started from and move to the closest
+    * neighbour, until a pass improves nothing.
     */
-  private def searchLayer(q: Array[Float], eps: Seq[Int], ef: Int, level: Int): Seq[(Int, Double)] = {
-    val visited = mutable.Set[Int]()
-    // candidates: nearest first; results: farthest first
-    val nearOrd: Ordering[(Double, Int)] =
-      Ordering.by[(Double, Int), (Double, Int)](t => (-t._1, -t._2))
-    val farOrd: Ordering[(Double, Int)] =
-      Ordering.by[(Double, Int), (Double, Int)](t => (t._1, t._2))
-    val candidates = mutable.PriorityQueue.empty[(Double, Int)](nearOrd)
-    val results = mutable.PriorityQueue.empty[(Double, Int)](farOrd)
-    for (ep <- eps.distinct) {
-      val d = dist(ep, q)
-      visited += ep
-      candidates.enqueue((d, ep))
-      results.enqueue((d, ep))
+  private def greedy(q: Array[Float], qOff: Int, start: Int, level: Int): Int = {
+    var best = start
+    var bestD = dist(best, q, qOff)
+    var improved = true
+    while (improved) {
+      improved = false
+      val lst = links(best); val b = base(level); val cnt = lst(b)
+      var j = 0
+      while (j < cnt) {
+        val nb = lst(b + 1 + j)
+        val d = dist(nb, q, qOff)
+        if (d < bestD) { bestD = d; best = nb; improved = true }
+        j += 1
+      }
     }
-    while (candidates.nonEmpty) {
-      val (cd, c) = candidates.dequeue()
-      if (cd > results.head._1 && results.size >= ef) {
+    best
+  }
+
+  /** Best-first search within one layer from the first `nEps` nodes of
+    * `foundNodes`; leaves up to ef nearest nodes in `foundNodes` and
+    * `foundDists`, ascending by distance, and returns their number.
+    */
+  private def searchLayer(q: Array[Float], qOff: Int, nEps: Int, ef: Int, level: Int): Int = {
+    if (epoch == Int.MaxValue) { java.util.Arrays.fill(visited, 0); epoch = 0 }
+    epoch += 1
+    candidates.clear(); results.clear()
+    // candidates pop nearest first: the heap's maximum of (-dist, -node)
+    var e = 0
+    while (e < nEps) {
+      val ep = foundNodes(e)
+      if (visited(ep) != epoch) {
+        val d = dist(ep, q, qOff)
+        visited(ep) = epoch
+        candidates.push(-d, -ep)
+        results.push(d, ep)
+      }
+      e += 1
+    }
+    while (candidates.size > 0) {
+      val cd = -candidates.topKey; val c = -candidates.topNode
+      candidates.pop()
+      if (cd > results.topKey && results.size >= ef) {
         candidates.clear() // nearest remaining candidate cannot improve
       } else {
-        for (nb <- links(c)(level) if !visited.contains(nb)) {
-          visited += nb
-          val d = dist(nb, q)
-          if (results.size < ef || d < results.head._1) {
-            candidates.enqueue((d, nb))
-            results.enqueue((d, nb))
-            if (results.size > ef) results.dequeue()
+        val lst = links(c); val b = base(level); val cnt = lst(b)
+        var j = 0
+        while (j < cnt) {
+          val nb = lst(b + 1 + j)
+          if (visited(nb) != epoch) {
+            visited(nb) = epoch
+            val d = dist(nb, q, qOff)
+            if (results.size < ef || d < results.topKey) {
+              candidates.push(-d, -nb)
+              results.push(d, nb)
+              if (results.size > ef) results.pop()
+            }
           }
+          j += 1
         }
       }
     }
-    val drained: List[(Double, Int)] = results.dequeueAll.toList
-    drained.reverse.map(t => (t._2, t._1))
+    val found = results.size
+    if (foundNodes.length < found) {
+      foundNodes = new Array[Int](found); foundDists = new Array[Double](found)
+    }
+    var i = found - 1
+    while (i >= 0) {
+      foundNodes(i) = results.topNode; foundDists(i) = results.topKey
+      results.pop(); i -= 1
+    }
+    found
   }
 
-  /** Prune a neighbour list to the `cap` closest (simple selection). */
+  private def append(node: Int, nb: Int, level: Int): Unit = {
+    val lst = links(node); val b = base(level)
+    lst(b + 1 + lst(b)) = nb
+    lst(b) += 1
+  }
+
+  /** Prune `node`'s list at `level` to the `cap` closest (simple
+    * selection), recomputing every distance; the kept list is ascending
+    * by (distance, node).
+    */
   private def shrink(node: Int, level: Int, cap: Int): Unit = {
-    val lst = links(node)(level)
-    if (lst.length > cap) {
-      val kept = lst.map(nb => (dist(nb, vecs(node)), nb)).sorted.take(cap).map(_._2)
-      lst.clear(); lst ++= kept
+    val lst = links(node); val b = base(level); val cnt = lst(b)
+    if (cnt > cap) {
+      val ds = pruneDists; val ns = pruneNodes
+      var j = 0
+      while (j < cnt) { // insertion sort
+        val x = lst(b + 1 + j)
+        val d = dist(x, vecs, node * dim)
+        var k = j
+        while (k > 0 && HnswOrder.after(ds(k - 1), ns(k - 1), d, x)) {
+          ds(k) = ds(k - 1); ns(k) = ns(k - 1); k -= 1
+        }
+        ds(k) = d; ns(k) = x
+        j += 1
+      }
+      System.arraycopy(ns, 0, lst, b + 1, cap)
+      lst(b) = cap
     }
+  }
+
+  private def grow(): Unit = {
+    val cap = 2 * ids.length
+    ids = java.util.Arrays.copyOf(ids, cap)
+    frameIds = java.util.Arrays.copyOf(frameIds, cap)
+    vecs = java.util.Arrays.copyOf(vecs, cap * dim)
+    links = java.util.Arrays.copyOf(links, cap)
+    visited = java.util.Arrays.copyOf(visited, cap)
   }
 
   def add(id: Long, frameId: Long, v: Array[Float]): Unit = {
     require(v.length == dim, s"expected dim $dim, got ${v.length}")
-    val node = ids.length
+    if (n == ids.length) grow()
+    val node = n
     val level = drawLevel(id)
-    ids += id; frameIds += frameId; vecs += VecOps.normalize(v); levels += level
-    links += Array.fill(level + 1)(mutable.ArrayBuffer[Int]())
+    ids(node) = id; frameIds(node) = frameId
+    System.arraycopy(VecOps.normalize(v), 0, vecs, node * dim, dim)
+    links(node) = new Array[Int](base(level + 1))
+    n += 1
 
     if (entryPoint < 0) { entryPoint = node; topLevel = level; return }
 
+    val qOff = node * dim
     var ep = entryPoint
     var lc = topLevel
     // descend greedily through layers above the new node's level
-    while (lc > level) {
-      var improved = true
-      var best = ep
-      var bestD = dist(best, vecs(node))
-      while (improved) {
-        improved = false
-        for (nb <- links(best)(lc)) {
-          val d = dist(nb, vecs(node))
-          if (d < bestD) { bestD = d; best = nb; improved = true }
-        }
-      }
-      ep = best
-      lc -= 1
-    }
+    while (lc > level) { ep = greedy(vecs, qOff, ep, lc); lc -= 1 }
     // connect on layers min(level, topLevel) .. 0
     var l = math.min(level, topLevel)
-    var eps = Seq(ep)
+    foundNodes(0) = ep
+    var nEps = 1
     while (l >= 0) {
-      val found = searchLayer(vecs(node), eps, efConstruction, l)
+      nEps = searchLayer(vecs, qOff, nEps, efConstruction, l)
       val cap = if (l == 0) maxM0 else maxM
-      val neighbours = found.take(maxM).map(_._1)
-      for (nb <- neighbours) {
-        links(node)(l) += nb
-        links(nb)(l) += node
+      var j = 0
+      while (j < math.min(maxM, nEps)) {
+        val nb = foundNodes(j)
+        append(node, nb, l)
+        append(nb, node, l)
         shrink(nb, l, cap)
+        j += 1
       }
-      eps = found.map(_._1)
       l -= 1
     }
     if (level > topLevel) { topLevel = level; entryPoint = node }
@@ -142,21 +231,70 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     val qn = VecOps.normalize(q)
     var ep = entryPoint
     var lc = topLevel
-    while (lc > 0) {
-      var improved = true
-      var bestD = dist(ep, qn)
-      while (improved) {
-        improved = false
-        for (nb <- links(ep)(lc)) {
-          val d = dist(nb, qn)
-          if (d < bestD) { bestD = d; ep = nb; improved = true }
-        }
-      }
-      lc -= 1
+    while (lc > 0) { ep = greedy(qn, 0, ep, lc); lc -= 1 }
+    foundNodes(0) = ep
+    val found = searchLayer(qn, 0, 1, math.max(ef, k), 0)
+    Seq.tabulate(math.min(k, found)) { i =>
+      val node = foundNodes(i)
+      SearchHit(ids(node), frameIds(node), -foundDists(i))
     }
-    searchLayer(qn, Seq(ep), math.max(ef, k), 0)
-      .take(k)
-      .map { case (n, d) => SearchHit(ids(n), frameIds(n), -d) }
+  }
+}
+
+private object HnswOrder {
+
+  /** (d1, n1) sorts after (d2, n2): by `java.lang.Double.compare`, then node. */
+  def after(d1: Double, n1: Int, d2: Double, n2: Int): Boolean = {
+    val c = java.lang.Double.compare(d1, d2)
+    c > 0 || (c == 0 && n1 > n2)
+  }
+}
+
+/** A binary max-heap of (key, node) pairs on parallel primitive arrays,
+  * ordered as [[HnswOrder.after]].
+  */
+private final class HnswHeap {
+  import HnswOrder.after
+
+  private var keys = new Array[Double](64)
+  private var nodes = new Array[Int](64)
+  var size = 0
+
+  def clear(): Unit = size = 0
+  def topKey: Double = keys(0)
+  def topNode: Int = nodes(0)
+
+  def push(key: Double, node: Int): Unit = {
+    if (size == keys.length) {
+      keys = java.util.Arrays.copyOf(keys, 2 * size)
+      nodes = java.util.Arrays.copyOf(nodes, 2 * size)
+    }
+    var i = size
+    size += 1
+    while (i > 0 && after(key, node, keys((i - 1) / 2), nodes((i - 1) / 2))) {
+      val parent = (i - 1) / 2
+      keys(i) = keys(parent); nodes(i) = nodes(parent); i = parent
+    }
+    keys(i) = key; nodes(i) = node
+  }
+
+  def pop(): Unit = {
+    size -= 1
+    val key = keys(size); val node = nodes(size)
+    var i = 0
+    var done = size == 0
+    while (!done) {
+      val l = 2 * i + 1
+      if (l >= size) done = true
+      else {
+        val r = l + 1
+        val child = if (r < size && after(keys(r), nodes(r), keys(l), nodes(l))) r else l
+        if (after(keys(child), nodes(child), key, node)) {
+          keys(i) = keys(child); nodes(i) = nodes(child); i = child
+        } else done = true
+      }
+    }
+    if (size > 0) { keys(i) = key; nodes(i) = node }
   }
 }
 

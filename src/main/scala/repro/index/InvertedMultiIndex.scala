@@ -1,7 +1,9 @@
 package repro.index
 
+import scala.collection.mutable
 import org.apache.spark.sql.{Dataset, functions => F}
 import repro.pq.ProductQuantizer
+import repro.util.Scans
 import repro.vit.PatchRec
 
 /** One vector-database entry: PQ codes address the multi-index cell, the
@@ -39,7 +41,10 @@ final case class InvertedMultiIndex(
 
 object InvertedMultiIndex {
 
-  /** Index-build batch job: encode every patch embedding, key by cell. */
+  /** Index-build batch job: encode every patch embedding, key by cell.
+    * The directory is counted per partition in one narrow job over the
+    * cell-partitioned entries and summed on the driver.
+    */
   def build(patches: Dataset[PatchRec], pq: ProductQuantizer,
             nPartitions: Int = 16): InvertedMultiIndex = {
     val spark = patches.sparkSession
@@ -51,8 +56,14 @@ object InvertedMultiIndex {
       }
       .repartition(nPartitions, F.col("cellId"))
       .cache()
-    val directory = entries.groupBy($"cellId").count()
-      .as[(Long, Long)].collect().toMap
+    val directory = Scans.narrow(entries)
+      .mapPartitions { it =>
+        val counts = mutable.LongMap.empty[Long]
+        it.foreach(e => counts(e.cellId) = counts.getOrElse(e.cellId, 0L) + 1L)
+        counts.iterator
+      }
+      .collect()
+      .groupMapReduce(_._1)(_._2)(_ + _)
     InvertedMultiIndex(entries, pq, directory, directory.values.sum)
   }
 }

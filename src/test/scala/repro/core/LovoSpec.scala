@@ -124,6 +124,41 @@ class LovoSpec extends SparkSpec {
     intercept[IllegalArgumentException] { LovoConfig(pqSubspaces = 3) }
   }
 
+  test("LovoConfig validates scanFraction in (0, 1]") {
+    intercept[IllegalArgumentException] { LovoConfig(scanFraction = 0.0) }
+    intercept[IllegalArgumentException] { LovoConfig(scanFraction = 1.01) }
+    assert(LovoConfig(scanFraction = 1.0).scanFraction == 1.0)
+  }
+
+  test("LovoConfig validates rescoreFactor > 0") {
+    intercept[IllegalArgumentException] { LovoConfig(rescoreFactor = 0) }
+  }
+
+  test("LovoConfig validates kmeansIters >= 1") {
+    intercept[IllegalArgumentException] { LovoConfig(kmeansIters = 0) }
+  }
+
+  test("LovoConfig validates pqCentroids >= 1") {
+    intercept[IllegalArgumentException] { LovoConfig(pqCentroids = 0) }
+  }
+
+  test("LovoConfig validates hnswM >= 2") {
+    intercept[IllegalArgumentException] { LovoConfig(hnswM = 1) }
+    assert(LovoConfig(hnswM = 2).hnswM == 2)
+  }
+
+  test("LovoConfig validates hnswEfConstruction >= 1") {
+    intercept[IllegalArgumentException] { LovoConfig(hnswEfConstruction = 0) }
+  }
+
+  test("LovoConfig validates hnswEfSearch >= 1") {
+    intercept[IllegalArgumentException] { LovoConfig(hnswEfSearch = 0) }
+  }
+
+  test("LovoConfig validates indexPartitions >= 1") {
+    intercept[IllegalArgumentException] { LovoConfig(indexPartitions = 0) }
+  }
+
   test("AnnVariant names round-trip") {
     assert(AnnVariant.all.map(AnnVariant.name).toSet == Set("BF", "IVF-PQ", "HNSW"))
   }

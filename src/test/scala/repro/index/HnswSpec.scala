@@ -1,8 +1,9 @@
 package repro.index
 
+import scala.util.hashing.MurmurHash3
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Fixtures
-import repro.util.VecOps
+import repro.util.{Rng, VecOps}
 
 class HnswSpec extends AnyFunSuite {
 
@@ -84,6 +85,32 @@ class HnswSpec extends AnyFunSuite {
     def recall(ef: Int) =
       g.search(q, 10, ef).map(_.patchId).toSet.intersect(exact).size
     assert(recall(128) >= recall(8))
+  }
+
+  test("graph and answers are pinned: build and search distance counts and hits") {
+    // 2,400 vectors, so the graph has upper levels. The figures were
+    // recorded from the boxed-tuple implementation that preceded the flat
+    // arrays; equal counts and hits mean the same graph and traversal.
+    val big = Fixtures.clusteredPatches(8, 300, dim)
+    val g = new HnswIndex(dim, M = 8, efConstruction = 64, seed = 7L)
+    big.foreach(p => g.add(p.patchId, p.frameId, p.emb))
+    assert(g.distComps == 696783L)
+    val queries = (0 until 40).map(i =>
+      Array.tabulate(dim)(j => Rng.gaussian(Rng.mix(991L, i.toLong), j.toLong).toFloat))
+    // (k, ef) -> (search distance computations, hash of every query's hit ids, first hits)
+    val pinned = Seq(
+      (10, 64) -> (13575L, -178380475, Seq(2169L, 2186L, 2294L, 2111L, 2290L)),
+      (140, 140) -> (19707L, 638845870, Seq(2169L, 2186L, 2294L, 2111L, 2290L)),
+      (3, 8) -> (4850L, 131708245, Seq(2186L, 2111L, 2130L)))
+    for (((k, ef), (comps, hash, first)) <- pinned) {
+      val before = g.distComps
+      val hits = queries.map(q => g.search(q, k, ef))
+      assert(g.distComps - before == comps, s"k=$k ef=$ef")
+      assert(hits.forall(_.size == k))
+      assert(hits.head.take(5).map(_.patchId) == first, s"k=$k ef=$ef")
+      assert(MurmurHash3.orderedHash(hits.map(h => MurmurHash3.orderedHash(h.map(_.patchId)))) == hash,
+        s"k=$k ef=$ef")
+    }
   }
 
   test("dimension mismatch on add is rejected") {

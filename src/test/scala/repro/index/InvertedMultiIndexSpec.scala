@@ -52,6 +52,11 @@ class InvertedMultiIndexSpec extends SparkSpec {
       "entries" -> entriesDf)
   }
 
+  test("cell directory equals the per-cell entry counts") {
+    val perCell = index.entries.collect().groupBy(_.cellId).map { case (c, es) => c -> es.length.toLong }
+    assert(index.cellDirectory == perCell)
+  }
+
   test("build is deterministic") {
     val again = InvertedMultiIndex.build(patches, pq, nPartitions = 4)
     assert(again.cellDirectory == index.cellDirectory)

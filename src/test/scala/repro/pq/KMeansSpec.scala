@@ -66,6 +66,69 @@ class KMeansSpec extends SparkSpec {
     assert(e16 < e2, s"err(16)=$e16 should beat err(2)=$e2")
   }
 
+  /** Lloyd on the driver: the same init as `trainProduct` (its
+    * `takeSample`, no padding needed), then per iteration the sums and
+    * counts of each partition in row order, merged in partition order.
+    */
+  private def referenceLloyd(rdd: org.apache.spark.rdd.RDD[Array[Float]], P: Int, m: Int,
+                             M: Int, iters: Int, seed: Long): Array[Array[Array[Float]]] = {
+    val init = rdd.takeSample(withReplacement = false, M, seed)
+    require(init.length == M)
+    val parts = rdd.glom().collect()
+    var cb = Array.tabulate(P, M)((p, c) => VecOps.subvector(init(c), p, m))
+    for (_ <- 0 until iters) {
+      val sums = Array.fill(P, M, m)(0.0)
+      val counts = Array.fill(P, M)(0L)
+      for (part <- parts) {
+        val ps = Array.fill(P, M, m)(0.0)
+        val pc = Array.fill(P, M)(0L)
+        for (v <- part; p <- 0 until P) {
+          val sub = VecOps.subvector(v, p, m)
+          val c = KMeans.nearest(cb(p), sub)
+          pc(p)(c) += 1
+          for (j <- 0 until m) ps(p)(c)(j) += sub(j)
+        }
+        for (p <- 0 until P; c <- 0 until M) {
+          counts(p)(c) += pc(p)(c)
+          for (j <- 0 until m) sums(p)(c)(j) += ps(p)(c)(j)
+        }
+      }
+      val prev = cb
+      cb = Array.tabulate(P, M) { (p, c) =>
+        if (counts(p)(c) == 0L) prev(p)(c)
+        else Array.tabulate(m)(j => (sums(p)(c)(j) / counts(p)(c)).toFloat)
+      }
+    }
+    cb
+  }
+
+  private def bits(cb: Array[Array[Array[Float]]]): Seq[Int] =
+    cb.flatten.flatten.toSeq.map(java.lang.Float.floatToRawIntBits)
+
+  test("trainProduct equals a driver-side Lloyd bit for bit in 1, 4 and 16 partitions") {
+    val data = (0 until 900).map(i =>
+      Array.tabulate(8)(j => Rng.gaussian(Rng.mix(i.toLong, 31L), j.toLong).toFloat))
+    for (parts <- Seq(1, 4, 16)) {
+      val rdd = spark.sparkContext.parallelize(data, parts)
+      val got = KMeans.trainProduct(rdd, P = 2, m = 4, M = 16, iters = 5, seed = 3L)
+      val want = referenceLloyd(rdd, P = 2, m = 4, M = 16, iters = 5, seed = 3L)
+      assert(bits(got) == bits(want), s"$parts partitions")
+    }
+  }
+
+  test("an empty input is rejected by name") {
+    val rdd = spark.sparkContext.parallelize(Seq.empty[Array[Float]], 4)
+    val e = intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 2, 2, 4) }
+    assert(e.getMessage.contains("empty input"), e.getMessage)
+  }
+
+  test("a vector of the wrong dimension is rejected, not truncated") {
+    val data = blobs(50, 2, 2) :+ new Array[Float](5)
+    val rdd = spark.sparkContext.parallelize(data, 4)
+    val e = intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 2, 2, 4) }
+    assert(e.getMessage.contains("dim 5, expected 4"), e.getMessage)
+  }
+
   test("iters must be positive") {
     val rdd = spark.sparkContext.parallelize(blobs(10, 1, 2), 1)
     intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 1, 2, 2, iters = 0) }

@@ -1,6 +1,7 @@
 package repro.pq
 
 import repro.SparkSpec
+import repro.testkit.SparkJobs
 import repro.util.{Rng, VecOps}
 
 class ProductQuantizerSpec extends SparkSpec {
@@ -83,6 +84,26 @@ class ProductQuantizerSpec extends SparkSpec {
     val pq = ProductQuantizer.train(rdd, P = 4, m = 2, M = 8, iters = 6)
     val meanResidual = data.map(v => VecOps.norm(pq.residual(v))).sum / data.size
     assert(meanResidual < 0.6, s"mean residual norm $meanResidual (unit vectors)")
+  }
+
+  test("training runs one narrow job per Lloyd iteration, no shuffle, and uncaches its blocks") {
+    val sc = spark.sparkContext
+    val cores = sc.defaultParallelism
+    val data = (0 until 2000).map(i =>
+      Array.tabulate(8)(j => Rng.gaussian(Rng.mix(i.toLong, 8L), j.toLong).toFloat))
+    // more input partitions than cores, so a job over the raw input is wide
+    val rdd = sc.parallelize(data, 4 * cores)
+    def storedBytes = sc.getRDDStorageInfo.map(_.memSize).sum
+    def persisted = sc.getPersistentRDDs.keySet
+    val (bytes0, ids0) = (storedBytes, persisted)
+    val iters = 5
+    val (_, work) = SparkJobs.count(sc)(ProductQuantizer.train(rdd, P = 4, m = 2, M = 8, iters = iters))
+    assert(work.shuffleWriteBytes == 0L, s"training wrote ${work.shuffleWriteBytes} shuffle bytes")
+    assert(work.jobTasks.count(_ <= cores) == iters,
+      s"expected $iters jobs of <= $cores tasks, got ${work.jobTasks}")
+    assert(work.jobTasks.takeRight(iters).forall(_ <= cores), s"per-job tasks ${work.jobTasks}")
+    assert(persisted == ids0)
+    assert(storedBytes == bytes0)
   }
 
   test("lut rejects wrong query dim") {

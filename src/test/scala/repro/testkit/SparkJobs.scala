@@ -4,8 +4,13 @@ import scala.collection.mutable
 import org.apache.spark.{SparkContext, TestListenerBus}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 
-/** Spark work submitted by one block of code. */
-final case class SparkWork(jobs: Int, tasks: Int, shuffleWriteBytes: Long)
+/** Spark work submitted by one block of code: each job's task count, in
+  * job start order, and the shuffle bytes written.
+  */
+final case class SparkWork(jobTasks: Seq[Int], shuffleWriteBytes: Long) {
+  def jobs: Int = jobTasks.size
+  def tasks: Int = jobTasks.sum
+}
 
 /** Counts the Spark jobs a block of code runs, with their tasks and the
   * shuffle bytes they write. Jobs are attributed through a thread-local
@@ -33,23 +38,22 @@ object SparkJobs {
   }
 
   private final class Listener(token: String) extends SparkListener {
-    private val stages = mutable.Set[Int]()
-    private var jobs = 0
-    private var tasks = 0
+    private val jobOfStage = mutable.Map[Int, Int]()
+    private val jobTasks = mutable.ArrayBuffer[Int]()
     private var shuffleWriteBytes = 0L
 
-    def work: SparkWork = synchronized(SparkWork(jobs, tasks, shuffleWriteBytes))
+    def work: SparkWork = synchronized(SparkWork(jobTasks.toList, shuffleWriteBytes))
 
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       if (Option(e.properties).exists(p => p.getProperty(Key) == token)) {
-        jobs += 1
-        stages ++= e.stageIds
+        e.stageIds.foreach(jobOfStage(_) = jobTasks.size)
+        jobTasks += 0
       }
     }
 
     override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-      if (stages.contains(e.stageId)) {
-        tasks += 1
+      jobOfStage.get(e.stageId).foreach { job =>
+        jobTasks(job) += 1
         if (e.taskMetrics != null) shuffleWriteBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
       }
     }
