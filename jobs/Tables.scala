@@ -1,73 +1,46 @@
 package repro.jobs
 
+import org.apache.spark.sql.SparkSession
 import repro.eval.tables._
 
-/** `spark-submit --class repro.jobs.TableIJob repro.jar [scale]` — one
-  * entrypoint per evaluation table; [[AllTablesJob]] runs everything.
+/** `spark-submit --class repro.jobs.TablesJob repro.jar <table1..table7|all> [scale]`
+  * renders the selected evaluation tables, prints them and writes each
+  * under results/. A Spark session starts only when a selected table
+  * needs one.
   */
-object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("lovo-table1")
-    TableFmt.publish("table1", TableI.render(TableI.run(spark, JobSession.scaleArg(args))))
-    spark.stop()
-  }
-}
+object TablesJob {
 
-object TableIIJob {
-  def main(args: Array[String]): Unit = {
-    TableFmt.publish("table2", TableII.render(TableII.run()))
-  }
-}
+  /** One evaluation table: its output name and its renderer at a scale.
+    * Tables that need no Spark ignore both renderer arguments.
+    */
+  final case class Table(name: String, needsSpark: Boolean,
+                         render: (SparkSession, Double) => String)
 
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("lovo-table3")
-    TableFmt.publish("table3", TableIII.render(TableIII.run(spark, JobSession.scaleArg(args))))
-    spark.stop()
-  }
-}
+  /** Every table, in the order `all` publishes them. */
+  val tables: Seq[Table] = Seq(
+    Table("table2", needsSpark = false, (_, _) => TableII.render(TableII.run())),
+    Table("table6", needsSpark = false, (_, _) => TableVI.render(TableVI.run())),
+    Table("table1", needsSpark = true, (s, x) => TableI.render(TableI.run(s, x))),
+    Table("table3", needsSpark = true, (s, x) => TableIII.render(TableIII.run(s, x))),
+    Table("table4", needsSpark = true, (s, x) => TableIV.render(TableIV.run(s, x))),
+    Table("table5", needsSpark = true, (s, x) => TableV.render(TableV.run(s, x))),
+    Table("table7", needsSpark = true, (s, x) => TableVII.render(TableVII.run(s, x))))
 
-object TableIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("lovo-table4")
-    TableFmt.publish("table4", TableIV.render(TableIV.run(spark, JobSession.scaleArg(args))))
-    spark.stop()
+  /** The tables `name` selects (one table, or `all`); rejects unknown names. */
+  def select(name: String): Seq[Table] = {
+    val picked = if (name == "all") tables else tables.filter(_.name == name)
+    require(picked.nonEmpty,
+      s"unknown table '$name' (expected ${tables.map(_.name).sorted.mkString(", ")} or all)")
+    picked
   }
-}
 
-object TableVJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("lovo-table5")
-    TableFmt.publish("table5", TableV.render(TableV.run(spark, JobSession.scaleArg(args))))
-    spark.stop()
-  }
-}
-
-object TableVIJob {
-  def main(args: Array[String]): Unit = {
-    TableFmt.publish("table6", TableVI.render(TableVI.run()))
-  }
-}
-
-object TableVIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("lovo-table7")
-    TableFmt.publish("table7", TableVII.render(TableVII.run(spark, JobSession.scaleArg(args))))
-    spark.stop()
-  }
-}
-
-object AllTablesJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("lovo-all-tables")
-    val scale = JobSession.scaleArg(args)
-    TableFmt.publish("table2", TableII.render(TableII.run()))
-    TableFmt.publish("table6", TableVI.render(TableVI.run()))
-    TableFmt.publish("table1", TableI.render(TableI.run(spark, scale)))
-    TableFmt.publish("table3", TableIII.render(TableIII.run(spark, scale)))
-    TableFmt.publish("table4", TableIV.render(TableIV.run(spark, scale)))
-    TableFmt.publish("table5", TableV.render(TableV.run(spark, scale)))
-    TableFmt.publish("table7", TableVII.render(TableVII.run(spark, scale)))
-    spark.stop()
+    require(args.nonEmpty, "usage: TablesJob <table1..table7|all> [scale]")
+    val selected = select(args(0))
+    val scale = JobSession.scaleArg(args.tail)
+    val spark =
+      if (selected.exists(_.needsSpark)) Some(JobSession.spark(s"lovo-${args(0)}")) else None
+    try selected.foreach(t => TableFmt.publish(t.name, t.render(spark.orNull, scale)))
+    finally spark.foreach(_.stop())
   }
 }

@@ -1,23 +1,23 @@
 package repro.baselines
 
+import org.apache.spark.sql.Dataset
+import repro.eval.Detection
 import repro.util.Rng
 import repro.vit.BBox
-import repro.video.{FrameRec, ObjRec, Scene}
+import repro.video.{FrameRec, ObjRec}
 
 /** Shared helpers for the baseline behavioural models. */
 object BaselineCommon {
 
-  /** A detector's noisy box for an object, keyed per baseline (salt). */
-  def detBox(o: ObjRec, noise: Double, salt: Long): BBox = {
-    val key = Rng.mix(o.objId, salt)
-    BBox.clamp(
-      BBox(
-        o.x + noise * o.w * Rng.gaussian(key, 1L),
-        o.y + noise * o.h * Rng.gaussian(key, 2L),
-        math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
-        math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L)))),
-      Scene.W, Scene.H)
-  }
+  /** The `k` best of a baseline's (frameId, score, box) rows: descending
+    * score, ties toward the smaller frame id, then in collected order.
+    */
+  def topK(rows: Dataset[(Long, Double, BBox)], k: Int): Seq[Detection] =
+    rows.collect()
+      .map { case (fid, s, box) => Detection(fid, s, box) }
+      .sortBy(d => (-d.score, d.frameId))
+      .take(k)
+      .toSeq
 
   /** The visually dominant object of a frame (largest area). */
   def largestObject(fr: FrameRec): Option[ObjRec] =

@@ -23,15 +23,11 @@ object Dino {
     val spark = frames.sparkSession
     import spark.implicits._
     val textTokens = TextEncoder.rerankTokenEmbeddings(parsed).toArray
-    frames.filter(_.isKey)
+    val rows = frames.filter(_.isKey)
       .flatMap { fr =>
         val (_, objs) = CrossModalRerank.rerankFrame(fr, textTokens, params)
         objs.map(o => (o.frameId, o.score, o.box))
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topK(rows, k)
   }
 }

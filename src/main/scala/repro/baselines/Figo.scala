@@ -4,6 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.encoder.{TextEncoder, Vocab}
 import repro.eval.Detection
 import repro.util.Rng
+import repro.vit.BBox
 import repro.video.FrameRec
 
 /** FiGO-style QD-search baseline (paper [17]).
@@ -26,7 +27,7 @@ object Figo {
       return Seq.empty
     val wanted = cls.get
     val fast = parsed.fastTokens
-    frames.filter(_.isKey)
+    val rows = frames.filter(_.isKey)
       .flatMap { fr =>
         fr.objects.filter(_.tokens.contains(wanted)).map { o =>
           val frac =
@@ -35,13 +36,9 @@ object Figo {
           // the ensemble's per-attribute verdicts are accurate (low noise);
           // what it cannot do is express relations/verbs at all
           val score = 0.3 + 0.6 * frac + 0.06 * Rng.gaussian(Rng.mix(o.objId, 0xF160L), 9L)
-          (fr.frameId, score, BaselineCommon.detBox(o, 0.07, 0xF160L))
+          (fr.frameId, score, BBox.noisy(o, 0.07, 0xF160L))
         }
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topK(rows, k)
   }
 }

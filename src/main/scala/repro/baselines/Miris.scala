@@ -4,6 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.encoder.{TextEncoder, Vocab}
 import repro.eval.Detection
 import repro.util.Rng
+import repro.vit.BBox
 import repro.video.FrameRec
 
 /** MIRIS-style QD-search baseline (paper [24]).
@@ -26,7 +27,7 @@ object Miris {
       return Seq.empty // unseen class: would require detector retraining
     val wanted = cls.get
     val cols = parsed.tokens.filter(Vocab.category(_) == Vocab.Col)
-    frames.filter(_.isKey)
+    val rows = frames.filter(_.isKey)
       .flatMap { fr =>
         fr.objects.filter(_.tokens.contains(wanted)).map { o =>
           // the tracker's colour model is weak (paper §VII-B: "limited
@@ -36,13 +37,9 @@ object Miris {
             if (cols.isEmpty) 1.0
             else cols.count(o.tokens.contains).toDouble / cols.size
           val score = 0.6 + 0.15 * colFrac + 0.30 * Rng.gaussian(Rng.mix(o.objId, 0x317BL), 9L)
-          (fr.frameId, score, BaselineCommon.detBox(o, 0.08, 0x317BL))
+          (fr.frameId, score, BBox.noisy(o, 0.08, 0x317BL))
         }
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topK(rows, k)
   }
 }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, TextEncoder}
 import repro.eval.Detection
 import repro.util.{Rng, VecOps}
+import repro.vit.BBox
 import repro.video.{DatasetConfig, FrameRec}
 
 /** VISA-style video reasoning segmentation baseline (paper [48]).
@@ -26,9 +27,9 @@ object Visa {
     val (wrongProb, scoreSigma, boxNoise) =
       if (cfg.traffic) (0.55, 0.30, 0.15) else (0.10, 0.10, 0.06)
 
-    frames.filter(_.isKey)
+    val rows = frames.filter(_.isKey)
       .flatMap { fr =>
-        if (fr.objects.isEmpty) Seq.empty[(Long, Double, repro.vit.BBox)]
+        if (fr.objects.isEmpty) Seq.empty[(Long, Double, BBox)]
         else {
           val scored = fr.objects.map { o =>
             val emb = SemanticSpace.embedTokens(o.tokens, Rng.mix(o.objId, 0x71A5L), 0.2)
@@ -41,13 +42,9 @@ object Visa {
               scored(Rng.int(fKey, 0x2L, scored.size)) // wrong-object latch
             else best
           val score = pick._2 + scoreSigma * Rng.gaussian(fKey, 0x3L)
-          Seq((fr.frameId, score, BaselineCommon.detBox(pick._1, boxNoise, 0x71A5L)))
+          Seq((fr.frameId, score, BBox.noisy(pick._1, boxNoise, 0x71A5L)))
         }
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topK(rows, k)
   }
 }

@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.Dataset
 import repro.encoder.{TextEncoder, Vocab}
 import repro.eval.Detection
+import repro.vit.BBox
 import repro.video.FrameRec
 
 /** VOCAL-style QA-index baseline (paper [21], [45], [46]).
@@ -26,15 +27,11 @@ object Vocal {
     cls match {
       case Some(c) if Vocab.MscocoClasses.contains(c) =>
         val wanted = Vocab.token(Vocab.Cls, c)
-        frames.filter(_.isKey)
+        val rows = frames.filter(_.isKey)
           .flatMap(fr => fr.objects.filter(_.tokens.contains(wanted))
-            .map(o => (fr.frameId, o.objId, BaselineCommon.detBox(o, 0.08, 0x0CA1L))))
-          .collect()
-          .map { case (fid, oid, box) =>
-            Detection(fid, 0.5 + BaselineCommon.jitter(oid, 0x11L), box) }
-          .sortBy(d => (-d.score, d.frameId))
-          .take(k)
-          .toSeq
+            .map(o => (fr.frameId, 0.5 + BaselineCommon.jitter(o.objId, 0x11L),
+              BBox.noisy(o, 0.08, 0x0CA1L))))
+        BaselineCommon.topK(rows, k)
       case _ => Seq.empty // outside the predefined label set: index miss
     }
   }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, TextEncoder, Vocab}
 import repro.eval.Detection
 import repro.util.{Rng, VecOps}
+import repro.vit.BBox
 import repro.video.FrameRec
 
 /** ZELDA-style vision-language baseline (paper [44]).
@@ -31,7 +32,7 @@ object Zelda {
     val spark = frames.sparkSession
     import spark.implicits._
     val q = SemanticSpace.embedText(parsed.tokens) // full-sentence encoding
-    frames.filter(_.isKey)
+    val rows = frames.filter(_.isKey)
       .flatMap { fr =>
         val score = VecOps.dot(frameEmbedding(fr), q)
         // coarse attention localization: query-similar object, sloppy box
@@ -41,12 +42,8 @@ object Zelda {
             val e = SemanticSpace.embedTokens(o.tokens, Rng.mix(o.objId, 0x2E1DAL), 0.5)
             (VecOps.dot(e, q), -o.objId)
           })
-        pick.map(o => (fr.frameId, score, BaselineCommon.detBox(o, 0.22, 0x2E1DAL)))
+        pick.map(o => (fr.frameId, score, BBox.noisy(o, 0.22, 0x2E1DAL)))
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topK(rows, k)
   }
 }

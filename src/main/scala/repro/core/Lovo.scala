@@ -32,8 +32,7 @@ final case class LovoBuild(
 final case class LovoQueryResult(
     candidates: Seq[Candidate],     // final ranked detections (post-rerank if enabled)
     fastStats: AnnStats,
-    rerank: Option[RerankResult],
-    k: Int)
+    rerank: Option[RerankResult])
 
 /** The LOVO system (paper §III): one-time video summary + vector-database
   * index build, then the two-stage query strategy of Algorithm 2.
@@ -73,10 +72,15 @@ object Lovo {
     * resolve boxes through the relational metadata store. A query with no
     * vocabulary tokens encodes to the zero vector, which scores every
     * stored vector alike: it has no candidates, and no Spark job runs.
+    * `k < 1`, or the HNSW variant without a graph, is rejected for every
+    * query.
     */
   def fastSearch(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                  variant: AnnVariant = AnnVariant.IvfPq,
                  hnsw: Option[HnswIndex] = None): (Seq[Candidate], AnnStats) = {
+    require(k > 0, s"k must be positive, got $k")
+    require(variant != AnnVariant.Hnsw || hnsw.isDefined,
+      "HNSW variant requires a prebuilt graph")
     val q = TextEncoder.fastEmbedding(parsed)
     if (q.forall(_ == 0f)) return (Seq.empty, AnnStats(0L, 0L, 0L, 0L, 0L))
     val (hits, stats) = variant match {
@@ -85,8 +89,7 @@ object Lovo {
       case AnnVariant.Bf =>
         BruteForce.search(b.index, q, k)
       case AnnVariant.Hnsw =>
-        val g = hnsw.getOrElse(sys.error("HNSW variant requires a prebuilt graph"))
-        Hnsw.search(g, q, k, math.max(b.cfg.hnswEfSearch, k))
+        Hnsw.search(hnsw.get, q, k, math.max(b.cfg.hnswEfSearch, k))
     }
     (MetadataStore.resolve(b.meta, hits), stats)
   }
@@ -99,13 +102,13 @@ object Lovo {
             useRerank: Boolean = true,
             hnsw: Option[HnswIndex] = None): LovoQueryResult = {
     val (cands, stats) = fastSearch(b, parsed, k, variant, hnsw)
-    if (!useRerank) return LovoQueryResult(cands, stats, None, k)
+    if (!useRerank) return LovoQueryResult(cands, stats, None)
 
     // Stage 2: rerank the distinct candidate frames (best-score order).
     val frameOrder = cands.sortBy(c => (-c.score, c.frameId)).map(_.frameId).distinct
     val rr = CrossModalRerank.rerank(b.frames, frameOrder, parsed, b.cfg.rerank)
     val reranked = rr.objects.take(k).map(o =>
       Candidate(patchId = -1L, frameId = o.frameId, score = o.score, box = o.box))
-    LovoQueryResult(reranked, stats, Some(rr), k)
+    LovoQueryResult(reranked, stats, Some(rr))
   }
 }

@@ -4,19 +4,16 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.encoder.TextEncoder
 import repro.index.HnswIndex
-import repro.rerank.CrossModalRerank
 import repro.video.{DatasetConfig, Datasets}
 
 /** A dataset prepared for evaluation: generated video, built LOVO index,
   * per-query measured ground truth. HNSW is built lazily (only Table V
   * needs it) and its build distance-computations are recorded.
   */
-final class Bundle(
-    val spark: SparkSession,
-    val dataset: DatasetConfig,
-    val lcfg: LovoConfig,
-    val keyOnly: Boolean,
-    val build: LovoBuild) {
+final class Bundle(val build: LovoBuild) {
+
+  def dataset: DatasetConfig = build.dataset
+  def lcfg: LovoConfig = build.cfg
 
   val queries: Seq[QuerySpec] = Workloads.forDataset(dataset.name)
 
@@ -39,7 +36,7 @@ final class Bundle(
   }
 }
 
-/** One LOVO query execution with accuracy + modeled and measured latency. */
+/** One LOVO query execution with accuracy + modeled latency. */
 final case class LovoRun(
     queryId: String,
     variant: AnnVariant,
@@ -51,9 +48,7 @@ final case class LovoRun(
     rerankSec: Double,
     processingSec: Double,
     indexingSec: Double,
-    framesReranked: Int,
-    wallFastSec: Double,
-    wallRerankSec: Double) {
+    framesReranked: Int) {
   def searchSec: Double = fastSec + rerankSec
   def totalSec: Double = processingSec + indexingSec + searchSec
 }
@@ -66,18 +61,16 @@ object Harness {
              lcfg: LovoConfig = LovoConfig(), keyOnly: Boolean = true): Bundle = {
     val cfg = Datasets.byName(datasetName).scaled(scale)
     val specs = Workloads.plantSpecsFor(datasetName)
-    new Bundle(spark, cfg, lcfg, keyOnly,
-      Lovo.build(spark, cfg, specs, lcfg, keyOnly))
+    new Bundle(Lovo.build(spark, cfg, specs, lcfg, keyOnly))
   }
 
-  /** Execute one query end to end and score it. */
+  /** Execute one query end to end with [[Lovo.query]] and score it. */
   def runLovo(b: Bundle, queryId: String,
               variant: AnnVariant = AnnVariant.IvfPq,
               useRerank: Boolean = true): LovoRun = {
     val spec = Workloads.byId(queryId)
     require(spec.dataset == b.dataset.name,
       s"query $queryId belongs to ${spec.dataset}, bundle is ${b.dataset.name}")
-    val parsed = TextEncoder.parse(spec.text)
     val k = math.min(b.lcfg.retrievalMultiplier.toLong * spec.nPos, b.build.counts.entries)
       .toInt.max(1)
 
@@ -86,22 +79,9 @@ object Harness {
       case _               => (None, 0L)
     }
 
-    val t0 = System.nanoTime()
-    val (cands, stats) = Lovo.fastSearch(b.build, parsed, k, variant, hnswOpt)
-    val t1 = System.nanoTime()
-
-    val (detections, rerankSec, framesReranked, t2) =
-      if (!useRerank) {
-        (cands.map(c => Detection(c.frameId, c.score, c.box)), 0.0, 0, t1)
-      } else {
-        val frameOrder = cands.sortBy(c => (-c.score, c.frameId)).map(_.frameId).distinct
-        val rr = CrossModalRerank.rerank(b.build.frames, frameOrder, parsed, b.lcfg.rerank)
-        val dets = rr.objects.take(k).map(o => Detection(o.frameId, o.score, o.box))
-        (dets, CostModel.rerank(rr), rr.framesProcessed, System.nanoTime())
-      }
-
+    val res = Lovo.query(b.build, TextEncoder.parse(spec.text), k, variant, useRerank, hnswOpt)
+    val detections = res.candidates.map(c => Detection(c.frameId, c.score, c.box))
     val gt = b.gt(queryId)
-    val avep = Metrics.averagePrecision(detections, gt)
 
     val c = b.build.counts
     val indexingSec = variant match {
@@ -116,16 +96,14 @@ object Harness {
       queryId = queryId,
       variant = variant,
       useRerank = useRerank,
-      avep = avep,
+      avep = Metrics.averagePrecision(detections, gt),
       gtCount = gt.size,
       k = k,
-      fastSec = CostModel.fastSearch(stats),
-      rerankSec = rerankSec,
+      fastSec = CostModel.fastSearch(res.fastStats),
+      rerankSec = res.rerank.fold(0.0)(CostModel.rerank),
       processingSec = CostModel.processing(c.rawFrames, c.keyFrames),
       indexingSec = indexingSec,
-      framesReranked = framesReranked,
-      wallFastSec = (t1 - t0) / 1e9,
-      wallRerankSec = (t2 - t1) / 1e9)
+      framesReranked = res.rerank.fold(0)(_.framesProcessed))
   }
 
   /** One baseline execution with accuracy + modeled latency. */

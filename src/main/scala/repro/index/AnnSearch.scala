@@ -164,15 +164,4 @@ object AnnSearch {
     }
     src
   }
-
-  /** Patch-id majority vote (paper Alg. 1 line 16): when a candidate is
-    * assembled from per-subspace components, the most frequent component
-    * patch id wins; ties break toward the smaller id.
-    */
-  def votePatchId(componentIds: Seq[Long]): Long = {
-    require(componentIds.nonEmpty, "vote requires at least one component")
-    componentIds.groupBy(identity).toSeq
-      .map { case (id, xs) => (id, xs.size) }
-      .minBy { case (id, n) => (-n, id) }._1
-  }
 }

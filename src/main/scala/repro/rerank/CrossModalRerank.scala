@@ -4,7 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, TextEncoder}
 import repro.util.{Rng, Scans}
 import repro.vit.BBox
-import repro.video.{FrameRec, ObjRec, Scene}
+import repro.video.FrameRec
 
 /** One reranked object detection (frame + refined box + fused score). */
 final case class RerankedObject(frameId: Long, objId: Long, score: Double, box: BBox)
@@ -27,7 +27,7 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * The top-k frames from fast search are re-processed from the raw video
   * (here: the frame's full object population) with fine-grained per-object
   * features and the *complete* query token set — including the relation /
-  * verb / positional tokens that fast search dropped. A bidirectional
+  * verb / positional tokens that fast search dropped. An image-to-text
   * cross-attention block fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
   * box per object. Runs as one narrow Spark job over the cached frames
@@ -66,22 +66,13 @@ object CrossModalRerank {
         t += 1
       }
       RerankedObject(fr.frameId, o.objId, s / textTokens.length,
-        decodeBox(o, params.boxNoise))
+        BBox.noisy(o, params.boxNoise, BoxSalt))
     }
     (objs.map(_.score).max, objs)
   }
 
-  /** Decoder's refined box: ground-truth geometry + small noise. */
-  def decodeBox(o: ObjRec, noise: Double): BBox = {
-    val key = Rng.mix(o.objId, 0xDEC0L)
-    BBox.clamp(
-      BBox(
-        o.x + noise * o.w * Rng.gaussian(key, 1L),
-        o.y + noise * o.h * Rng.gaussian(key, 2L),
-        math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
-        math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L)))),
-      Scene.W, Scene.H)
-  }
+  /** [[BBox.noisy]] salt of the decoder's refined box. */
+  val BoxSalt = 0xDEC0L
 
   /** Rerank the given candidate frames against the full parsed query. */
   def rerank(frames: Dataset[FrameRec], candidateFrames: Seq[Long],

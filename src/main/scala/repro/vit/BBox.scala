@@ -1,13 +1,14 @@
 package repro.vit
 
+import repro.util.Rng
+import repro.video.{ObjRec, Scene}
+
 /** Axis-aligned bounding box (x, y = top-left corner; w, h = extent). */
 final case class BBox(x: Double, y: Double, w: Double, h: Double) {
   require(w >= 0 && h >= 0, s"negative extent: $this")
   def x2: Double = x + w
   def y2: Double = y + h
   def area: Double = w * h
-  def cx: Double = x + w / 2
-  def cy: Double = y + h / 2
 
   /** Intersection-over-union with another box; 0 when disjoint. */
   def iou(o: BBox): Double = {
@@ -17,9 +18,6 @@ final case class BBox(x: Double, y: Double, w: Double, h: Double) {
     val union = area + o.area - inter
     if (union <= 0) 0.0 else inter / union
   }
-
-  def contains(px: Double, py: Double): Boolean =
-    px >= x && px < x2 && py >= y && py < y2
 }
 
 object BBox {
@@ -27,5 +25,22 @@ object BBox {
   def clamp(b: BBox, cw: Double, ch: Double): BBox = {
     val w = math.min(b.w, cw); val h = math.min(b.h, ch)
     BBox(math.max(0, math.min(cw - w, b.x)), math.max(0, math.min(ch - h, b.y)), w, h)
+  }
+
+  /** A model's noisy box for an object: the true box with Gaussian
+    * position and extent jitter of `noise` × its size, clamped to the
+    * scene. `salt` keys the draws per model (summary head, rerank
+    * decoder, each baseline's detector), so a model always predicts the
+    * same box for the same object.
+    */
+  def noisy(o: ObjRec, noise: Double, salt: Long): BBox = {
+    val key = Rng.mix(o.objId, salt)
+    clamp(
+      BBox(
+        o.x + noise * o.w * Rng.gaussian(key, 1L),
+        o.y + noise * o.h * Rng.gaussian(key, 2L),
+        math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
+        math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L)))),
+      Scene.W, Scene.H)
   }
 }

@@ -110,7 +110,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("detBox noise stays clamped to the canvas") {
     val o = ObjRec(1L, Seq("cls:bus"), 250, 185, 56, 26)
-    val b = BaselineCommon.detBox(o, 0.5, 0x1L)
+    val b = repro.vit.BBox.noisy(o, 0.5, 0x1L)
     assert(b.x >= 0 && b.y >= 0 && b.x2 <= 256 + 1e-9 && b.y2 <= 192 + 1e-9)
   }
 

@@ -89,11 +89,34 @@ class LovoSpec extends SparkSpec {
     assert(overlap >= 0.7, s"HNSW overlap with BF = $overlap")
   }
 
-  test("HNSW variant without a prebuilt graph is rejected") {
-    val parsed = TextEncoder.parse(Workloads.byId("Q1.1").text)
-    intercept[RuntimeException] {
-      Lovo.fastSearch(build, parsed, k = 5, AnnVariant.Hnsw, None)
+  /** A planted query and one with no vocabulary tokens (zero query vector). */
+  private def normalAndEmpty: Seq[TextEncoder.ParsedQuery] =
+    Seq(Workloads.byId("Q1.1").text, "xyzzy plugh").map(TextEncoder.parse)
+
+  /** Both entry points reject the arguments for both queries, before any Spark job. */
+  private def assertRejected(k: Int, variant: AnnVariant, hnsw: Option[repro.index.HnswIndex]): Unit =
+    for (parsed <- normalAndEmpty) {
+      val (_, work) = SparkJobs.count(spark.sparkContext) {
+        intercept[IllegalArgumentException](Lovo.fastSearch(build, parsed, k, variant, hnsw))
+        intercept[IllegalArgumentException](Lovo.query(build, parsed, k, variant, hnsw = hnsw))
+      }
+      assert(work.jobs == 0, s"${AnnVariant.name(variant)} k=$k ran ${work.jobs} jobs")
     }
+
+  test("IVF-PQ rejects k < 1 for every query") {
+    for (k <- Seq(0, -1)) assertRejected(k, AnnVariant.IvfPq, None)
+  }
+
+  test("BF rejects k < 1 for every query") {
+    for (k <- Seq(0, -1)) assertRejected(k, AnnVariant.Bf, None)
+  }
+
+  test("HNSW rejects k < 1 for every query") {
+    for (k <- Seq(0, -1)) assertRejected(k, AnnVariant.Hnsw, Some(b.hnsw._1))
+  }
+
+  test("HNSW variant without a prebuilt graph is rejected") {
+    assertRejected(5, AnnVariant.Hnsw, None)
   }
 
   test("queries are deterministic end to end") {

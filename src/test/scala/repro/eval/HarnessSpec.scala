@@ -1,7 +1,8 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.core.AnnVariant
+import repro.core.{AnnVariant, Lovo}
+import repro.encoder.TextEncoder
 import repro.testkit.Fixtures
 
 class HarnessSpec extends SparkSpec {
@@ -30,7 +31,25 @@ class HarnessSpec extends SparkSpec {
     assert(r.searchSec == r.fastSec + r.rerankSec)
     assert(math.abs(r.totalSec - (r.processingSec + r.indexingSec + r.searchSec)) < 1e-12)
     assert(r.framesReranked > 0)
-    assert(r.wallFastSec > 0 && r.wallRerankSec > 0)
+  }
+
+  test("runLovo scores exactly what Lovo.query returns, for every variant and rerank setting") {
+    val spec = Workloads.byId("Q1.2")
+    val parsed = TextEncoder.parse(spec.text)
+    val k = b.lcfg.retrievalMultiplier * spec.nPos
+    for (variant <- AnnVariant.all; useRerank <- Seq(true, false)) {
+      val hnsw = if (variant == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      val res = Lovo.query(b.build, parsed, k, variant, useRerank, hnsw)
+      val dets = res.candidates.map(c => Detection(c.frameId, c.score, c.box))
+      val r = Harness.runLovo(b, spec.id, variant, useRerank)
+      val what = s"${AnnVariant.name(variant)} rerank=$useRerank"
+      assert(r.k == k, what)
+      assert(r.avep == Metrics.averagePrecision(dets, b.gt(spec.id)), what)
+      assert(r.fastSec == CostModel.fastSearch(res.fastStats), what)
+      assert(r.rerankSec == res.rerank.fold(0.0)(CostModel.rerank), what)
+      assert(r.framesReranked == res.rerank.fold(0)(_.framesProcessed), what)
+      assert(res.rerank.isDefined == useRerank, what)
+    }
   }
 
   test("w/o rerank runs report zero rerank cost") {

@@ -45,19 +45,12 @@ class BBoxSpec extends AnyFunSuite with PropertyChecks {
     assert(math.abs(outer.iou(inner) - 100.0 / 400.0) < 1e-12)
   }
 
-  test("centre and corners are consistent") {
+  test("corners and area are consistent") {
     forAllGen(boxGen) { b =>
-      assert(math.abs(b.cx - (b.x + b.w / 2)) < 1e-12)
       assert(math.abs(b.x2 - (b.x + b.w)) < 1e-12)
+      assert(math.abs(b.y2 - (b.y + b.h)) < 1e-12)
       assert(b.area == b.w * b.h)
     }
-  }
-
-  test("contains is inclusive of top-left, exclusive of bottom-right") {
-    val b = BBox(10, 10, 5, 5)
-    assert(b.contains(10, 10))
-    assert(!b.contains(15, 15))
-    assert(b.contains(12, 14))
   }
 
   test("negative extents are rejected") {

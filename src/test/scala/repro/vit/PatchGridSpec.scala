@@ -25,7 +25,7 @@ class PatchGridSpec extends AnyFunSuite {
   test("patchOf maps a point to the anchor containing it") {
     for (k <- 0 until K) {
       val a = anchor(k)
-      assert(patchOf(a.cx, a.cy) == k)
+      assert(patchOf(a.x + a.w / 2, a.y + a.h / 2) == k)
     }
   }
 

@@ -108,7 +108,7 @@ class VideoSummarySpec extends SparkSpec {
 
   test("predictBox clamps to the canvas") {
     val o = repro.video.ObjRec(123L, Seq("cls:bus"), 240, 180, 56, 26)
-    val b = VideoSummary.predictBox(o, 0.5)
+    val b = BBox.noisy(o, 0.5, VideoSummary.BoxSalt)
     assert(b.x >= 0 && b.y >= 0 && b.x2 <= 256 + 1e-9 && b.y2 <= 192 + 1e-9)
   }
 }
