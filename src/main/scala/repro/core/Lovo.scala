@@ -17,7 +17,9 @@ final case class BuildCounts(
     storageBytes: Long)
 
 /** A built LOVO instance over one dataset: raw frames (the "video"),
-  * the vector index, and the relational metadata store.
+  * the vector index, and the relational metadata store. `meta` is cached
+  * lazily: queries read boxes from the index, so it is materialized only
+  * when SQL or an oracle check reads it.
   */
 final case class LovoBuild(
     cfg: LovoConfig,
@@ -26,7 +28,11 @@ final case class LovoBuild(
     patches: Dataset[PatchRec],
     index: InvertedMultiIndex,
     meta: Dataset[PatchMeta],
-    counts: BuildCounts)
+    counts: BuildCounts) {
+
+  /** Drop every cached Dataset of this build. */
+  def unpersist(): Unit = Seq(frames, patches, index.entries, meta).foreach(_.unpersist())
+}
 
 /** One end-to-end query answer: ranked candidates and stage telemetry. */
 final case class LovoQueryResult(
@@ -42,6 +48,9 @@ object Lovo {
   /** Offline phase: generate/ingest video, select keyframes, summarize,
     * train PQ codebooks, build the inverted multi-index + metadata store.
     *
+    * A dataset with no keyframes fails with `IllegalArgumentException`
+    * before the summary and the index are built.
+    *
     * @param keyOnly false reproduces the w/o-key-frame ablation (index
     *                every raw frame)
     */
@@ -51,6 +60,7 @@ object Lovo {
     val frames = Keyframes.select(SynthVideo.frames(spark, dataset, specs)).cache()
     val rawFrames = frames.count()
     val keyFrames = frames.filter(_.isKey).count()
+    require(keyFrames > 0, s"dataset ${dataset.name} has no keyframes ($rawFrames raw frames)")
     val patches = VideoSummary.summarize(frames, cfg.summary, keyOnly).cache()
     val nEntries = patches.count()
     val pq = ProductQuantizer.train(
@@ -68,8 +78,10 @@ object Lovo {
     Hnsw.build(b.index, b.cfg.hnswM, b.cfg.hnswEfConstruction)
 
   /** Stage 1 — top-k fast search (Algorithm 2 lines 1–2): encode the key
-    * phrases to a single query vector, search the chosen index variant,
-    * resolve boxes through the relational metadata store. A query with no
+    * phrases to a single query vector and search the chosen index variant;
+    * each hit carries its keyframe id and box from the index entry, so no
+    * metadata lookup runs. IVF-PQ and BF are one narrow Spark job each;
+    * HNSW searches its driver-side graph and runs none. A query with no
     * vocabulary tokens encodes to the zero vector, which scores every
     * stored vector alike: it has no candidates, and no Spark job runs.
     * `k < 1`, or the HNSW variant without a graph, is rejected for every
@@ -91,7 +103,7 @@ object Lovo {
       case AnnVariant.Hnsw =>
         Hnsw.search(hnsw.get, q, k, math.max(b.cfg.hnswEfSearch, k))
     }
-    (MetadataStore.resolve(b.meta, hits), stats)
+    (hits.map(h => Candidate(h.patchId, h.frameId, h.score, h.box)), stats)
   }
 
   /** Full two-stage query (Algorithm 2). With rerank disabled the fast

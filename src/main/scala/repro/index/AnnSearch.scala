@@ -1,9 +1,12 @@
 package repro.index
 
 import repro.util.{Scans, VecOps}
+import repro.vit.BBox
 
-/** A raw vector-database hit (before the metadata resolve). */
-final case class SearchHit(patchId: Long, frameId: Long, score: Double)
+/** A vector-database hit: the stored patch, its exact score and the
+  * patch's predicted box, read from the index entry.
+  */
+final case class SearchHit(patchId: Long, frameId: Long, score: Double, box: BBox)
 
 /** Operation counts of one search — the cost model's inputs. */
 final case class AnnStats(
@@ -14,14 +17,26 @@ final case class AnnStats(
     rescored: Long)       // vectors exactly rescored
 
 /** The best rows of one scan, column-wise: `rank` is the score the scan
-  * ordered by, `exact` the inner product with the query.
+  * ordered by, `exact` the inner product with the query, `box` the
+  * entries' boxes as four doubles (x, y, w, h) per row.
   */
 private[index] final class TopRows(
     val patchId: Array[Long],
     val frameId: Array[Long],
     val rank: Array[Double],
-    val exact: Array[Double]) extends Serializable {
+    val exact: Array[Double],
+    val box: Array[Double]) extends Serializable {
   def size: Int = patchId.length
+
+  /** The rows at `idx`, in that order. */
+  def select(idx: Array[Int]): TopRows =
+    new TopRows(idx.map(patchId), idx.map(frameId), idx.map(rank), idx.map(exact),
+      Array.tabulate(4 * idx.length)(j => box(4 * idx(j / 4) + j % 4)))
+
+  /** Row `i` as a hit scored by its exact inner product. */
+  def hit(i: Int): SearchHit =
+    SearchHit(patchId(i), frameId(i), exact(i),
+      BBox(box(4 * i), box(4 * i + 1), box(4 * i + 2), box(4 * i + 3)))
 }
 
 /** Approximate nearest-neighbor search over the inverted multi-index —
@@ -81,16 +96,15 @@ object AnnSearch {
 
     // The exact-rescore depth scales with the scan (ADC ordering is a weak
     // ranker on near-parallel embeddings, so a fixed multiple of k would
-    // starve recall as the collection grows).
-    val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
+    // starve recall as the collection grows). No scan keeps more than the
+    // `covered` rows of its cells, so that bounds the depth for any k.
+    val rescoreDepth = math.min(math.max(rescoreFactor.toLong * k, covered / 4), covered).toInt
     val approx = scanTop(index, qn, rescoreDepth)(
       e => java.util.Arrays.binarySearch(cells, e.cellId) >= 0,
       e => pq.adcScore(table, e.codes))
 
     // Exact rescoring with the stored full vectors (lines 13–15).
-    val exact = descending(approx.exact, approx.patchId).take(k)
-      .map(i => SearchHit(approx.patchId(i), approx.frameId(i), approx.exact(i)))
-      .toSeq
+    val exact = descending(approx.exact, approx.patchId).take(k).map(approx.hit).toSeq
 
     val stats = AnnStats(
       lutDots = pq.P.toLong * pq.M,
@@ -113,12 +127,12 @@ object AnnSearch {
       val ranks = rows.map(rank)
       val top = best(ranks, rows.map(_.patchId), n)
       Iterator.single(new TopRows(top.map(rows(_).patchId), top.map(rows(_).frameId),
-        top.map(ranks), top.map(i => VecOps.dot(qn, rows(i).emb))))
+        top.map(ranks), top.map(i => VecOps.dot(qn, rows(i).emb)),
+        top.flatMap { i => val e = rows(i); Array(e.px, e.py, e.pw, e.ph) }))
     }.collect()
     val all = new TopRows(parts.flatMap(_.patchId), parts.flatMap(_.frameId),
-      parts.flatMap(_.rank), parts.flatMap(_.exact))
-    val top = best(all.rank, all.patchId, n)
-    new TopRows(top.map(all.patchId), top.map(all.frameId), top.map(all.rank), top.map(all.exact))
+      parts.flatMap(_.rank), parts.flatMap(_.exact), parts.flatMap(_.box))
+    all.select(best(all.rank, all.patchId, n))
   }
 
   /** Indices sorted by (score descending, id ascending), scores compared

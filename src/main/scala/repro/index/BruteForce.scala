@@ -14,7 +14,7 @@ object BruteForce {
     require(k > 0, "k must be positive")
     val qn = VecOps.normalize(q)
     val top = AnnSearch.scanTop(index, qn, k)(_ => true, e => VecOps.dot(qn, e.emb))
-    val hits = Array.tabulate(top.size)(i => SearchHit(top.patchId(i), top.frameId(i), top.exact(i))).toSeq
+    val hits = Array.tabulate(top.size)(top.hit).toSeq
     // one exact pass over everything; no second rescore stage
     val stats = AnnStats(
       lutDots = 0L,

@@ -1,7 +1,7 @@
 package repro.index
 
-import org.apache.spark.sql.Dataset
 import repro.util.{Rng, VecOps}
+import repro.vit.BBox
 
 /** Hierarchical Navigable Small World graph index — the LOVO(HNSW)
   * variant of Table V (Malkov & Yashunin's algorithm).
@@ -14,7 +14,8 @@ import repro.util.{Rng, VecOps}
   * computations are counted for the cost model.
   *
   * Storage is flat and primitive: all vectors in one `float[]`, ids and
-  * frame ids in `long[]`, and per node one `int[]` holding, for each of
+  * frame ids in `long[]`, the boxes as four values per node in one
+  * `double[]`, and per node one `int[]` holding, for each of
   * its levels, a neighbour count followed by cap+1 neighbour slots (a
   * list may exceed its cap by one before it is pruned). Layer searches
   * use an epoch-stamped visited array and binary heaps on parallel
@@ -31,6 +32,8 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   private var ids = new Array[Long](16)
   private var frameIds = new Array[Long](16)
   private var vecs = new Array[Float](16 * dim)
+  // x, y, w, h of each node's box
+  private var boxes = new Array[Double](16 * 4)
   // links(node): for level 0 then each upper level, [count, cap+1 slots]
   private var links = new Array[Array[Int]](16)
   // visited(node) == epoch marks a node seen by the current layer search
@@ -137,6 +140,13 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
         }
       }
     }
+    drainResults()
+  }
+
+  /** Moves `results` into `foundNodes` and `foundDists`, ascending by
+    * (distance, node), and returns their number.
+    */
+  private def drainResults(): Int = {
     val found = results.size
     if (foundNodes.length < found) {
       foundNodes = new Array[Int](found); foundDists = new Array[Double](found)
@@ -184,16 +194,19 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     ids = java.util.Arrays.copyOf(ids, cap)
     frameIds = java.util.Arrays.copyOf(frameIds, cap)
     vecs = java.util.Arrays.copyOf(vecs, cap * dim)
+    boxes = java.util.Arrays.copyOf(boxes, cap * 4)
     links = java.util.Arrays.copyOf(links, cap)
     visited = java.util.Arrays.copyOf(visited, cap)
   }
 
-  def add(id: Long, frameId: Long, v: Array[Float]): Unit = {
+  def add(id: Long, frameId: Long, v: Array[Float], box: BBox): Unit = {
     require(v.length == dim, s"expected dim $dim, got ${v.length}")
     if (n == ids.length) grow()
     val node = n
     val level = drawLevel(id)
     ids(node) = id; frameIds(node) = frameId
+    boxes(4 * node) = box.x; boxes(4 * node + 1) = box.y
+    boxes(4 * node + 2) = box.w; boxes(4 * node + 3) = box.h
     System.arraycopy(VecOps.normalize(v), 0, vecs, node * dim, dim)
     links(node) = new Array[Int](base(level + 1))
     n += 1
@@ -225,18 +238,31 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     if (level > topLevel) { topLevel = level; entryPoint = node }
   }
 
-  /** Top-k maximum-inner-product search; returns hits descending by score. */
+  /** Top-k maximum-inner-product search; returns hits descending by score.
+    * When the beam (`max(ef, k)`) covers the whole graph, the answer is
+    * every node, so every node is scored: a traversal would miss a node
+    * whose in-links were all pruned.
+    */
   def search(q: Array[Float], k: Int, ef: Int = 64): Seq[SearchHit] = {
     if (entryPoint < 0) return Seq.empty
     val qn = VecOps.normalize(q)
-    var ep = entryPoint
-    var lc = topLevel
-    while (lc > 0) { ep = greedy(qn, 0, ep, lc); lc -= 1 }
-    foundNodes(0) = ep
-    val found = searchLayer(qn, 0, 1, math.max(ef, k), 0)
+    val found =
+      if (math.max(ef, k) >= n) {
+        results.clear()
+        var node = 0
+        while (node < n) { results.push(dist(node, qn, 0), node); node += 1 }
+        drainResults()
+      } else {
+        var ep = entryPoint
+        var lc = topLevel
+        while (lc > 0) { ep = greedy(qn, 0, ep, lc); lc -= 1 }
+        foundNodes(0) = ep
+        searchLayer(qn, 0, 1, math.max(ef, k), 0)
+      }
     Seq.tabulate(math.min(k, found)) { i =>
       val node = foundNodes(i)
-      SearchHit(ids(node), frameIds(node), -foundDists(i))
+      SearchHit(ids(node), frameIds(node), -foundDists(i),
+        BBox(boxes(4 * node), boxes(4 * node + 1), boxes(4 * node + 2), boxes(4 * node + 3)))
     }
   }
 }
@@ -300,18 +326,14 @@ private final class HnswHeap {
 
 object Hnsw {
 
-  /** Build from the stored index entries (deterministic insert order). */
+  /** Build from the stored index entries, with their boxes
+    * (deterministic insert order).
+    */
   def build(index: InvertedMultiIndex, m: Int = 8, efConstruction: Int = 64,
             seed: Long = 7L): HnswIndex = {
-    val spark = index.entries.sparkSession
-    import spark.implicits._
-    val rows = index.entries
-      .map(e => (e.patchId, e.frameId, e.emb))
-      .collect()
-      .sortBy(_._1)
-    val dim = index.pq.dim
-    val g = new HnswIndex(dim, m, efConstruction, seed)
-    rows.foreach { case (pid, fid, v) => g.add(pid, fid, v) }
+    val rows = index.entries.collect().sortBy(_.patchId)
+    val g = new HnswIndex(index.pq.dim, m, efConstruction, seed)
+    rows.foreach(e => g.add(e.patchId, e.frameId, e.emb, e.box))
     g
   }
 

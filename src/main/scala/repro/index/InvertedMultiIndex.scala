@@ -4,17 +4,25 @@ import scala.collection.mutable
 import org.apache.spark.sql.{Dataset, functions => F}
 import repro.pq.ProductQuantizer
 import repro.util.Scans
-import repro.vit.PatchRec
+import repro.vit.{BBox, PatchRec}
 
 /** One vector-database entry: PQ codes address the multi-index cell, the
-  * raw embedding is retained for exact rescoring (paper Alg. 1 line 14).
+  * raw embedding is retained for exact rescoring (paper Alg. 1 line 14),
+  * and the patch's predicted box (the [[PatchMeta]] box of the same patch
+  * id) travels with every hit.
   */
 final case class IndexedVec(
     patchId: Long,
     frameId: Long,
     codes: Array[Int],
     cellId: Long,
-    emb: Array[Float])
+    emb: Array[Float],
+    px: Double,
+    py: Double,
+    pw: Double,
+    ph: Double) {
+  def box: BBox = BBox(px, py, pw, ph)
+}
 
 /** The inverted multi-index (paper §V-B, Babenko & Lempitsky [33]).
   *
@@ -52,7 +60,7 @@ object InvertedMultiIndex {
     val entries = patches
       .map { p =>
         val codes = pq.encode(p.emb)
-        IndexedVec(p.patchId, p.frameId, codes, pq.cellId(codes), p.emb)
+        IndexedVec(p.patchId, p.frameId, codes, pq.cellId(codes), p.emb, p.px, p.py, p.pw, p.ph)
       }
       .repartition(nPartitions, F.col("cellId"))
       .cache()

@@ -18,7 +18,7 @@ final case class PatchMeta(
     ph: Double,
     isObject: Boolean)
 
-/** A fully resolved retrieval candidate after the metadata resolve. */
+/** A retrieval candidate: a hit with its keyframe and box. */
 final case class Candidate(
     patchId: Long,
     frameId: Long,
@@ -26,9 +26,10 @@ final case class Candidate(
     box: BBox)
 
 /** The relational side of the storage module: a cached Dataset of
-  * [[PatchMeta]] rows, kept in its build partitioning. A query resolves
-  * its hits with one narrow scan that keeps the hits' rows by patch id;
-  * the store stays a plain table for SQL and oracle checks.
+  * [[PatchMeta]] rows, kept in its build partitioning. Queries read the
+  * box from the index entry ([[IndexedVec]]) and do not touch this store;
+  * it is the plain table that SQL and oracle checks join hits against,
+  * and the reference for the boxes the index carries.
   */
 object MetadataStore {
 
@@ -39,16 +40,15 @@ object MetadataStore {
     patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
   }
 
-  /** Resolve search hits to boxes by patch id: one narrow Spark job that
-    * keeps the hits' metadata rows (no join, no shuffle). The output
-    * follows the order of the input hits (descending score); hits with no
-    * metadata row are dropped.
+  /** Resolve search hits to the store's boxes by patch id: one narrow
+    * Spark job that keeps the hits' metadata rows (no join, no shuffle).
+    * The output follows the order of the input hits (descending score);
+    * hits with no metadata row are dropped.
     */
   def resolve(meta: Dataset[PatchMeta], hits: Seq[SearchHit]): Seq[Candidate] = {
     if (hits.isEmpty) return Seq.empty
     val ids = hits.map(_.patchId).toArray.sorted
-    val byId = Scans.narrow(meta)
-      .filter(m => java.util.Arrays.binarySearch(ids, m.patchId) >= 0)
+    val byId = Scans.narrowById(meta, "patchId", ids)
       .collect()
       .map(m => m.patchId -> m)
       .toMap

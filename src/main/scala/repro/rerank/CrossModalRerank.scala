@@ -31,8 +31,9 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * cross-attention block fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
   * box per object. Runs as one narrow Spark job over the cached frames
-  * (at most `defaultParallelism` tasks, no shuffle) that keeps and scores
-  * the candidate frames.
+  * (at most `defaultParallelism` tasks, no shuffle) that keeps the
+  * candidate frames by frame id on the cached rows, then decodes and
+  * scores only those.
   */
 object CrossModalRerank {
 
@@ -84,9 +85,8 @@ object CrossModalRerank {
     val textTokens: Array[Array[Float]] =
       TextEncoder.rerankTokenEmbeddings(parsed).toArray
 
-    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] = Scans.narrow(frames)
-      .filter(fr => java.util.Arrays.binarySearch(ids, fr.frameId) >= 0)
-      .map { fr =>
+    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] =
+      Scans.narrowById(frames, "frameId", ids).map { fr =>
         val (ls, objs) = rerankFrame(fr, textTokens, params)
         (fr.frameId, ls, objs, fr.objects.size)
       }

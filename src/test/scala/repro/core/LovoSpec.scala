@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
 import repro.testkit.{Fixtures, SparkJobs}
+import repro.video.Datasets
 import repro.vit.PatchGrid
 
 class LovoSpec extends SparkSpec {
@@ -141,6 +142,26 @@ class LovoSpec extends SparkSpec {
     assert(res.candidates.isEmpty)
     assert(res.rerank.forall(_.framesProcessed == 0))
     assert(work.jobs == 0)
+  }
+
+  test("k larger than the collection returns every entry, best first, for every variant") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.1").text)
+    val n = build.counts.entries
+    for (variant <- AnnVariant.all; k <- Seq(n.toInt + 1, Int.MaxValue)) {
+      val hnsw = if (variant == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      val (cands, _) = Lovo.fastSearch(build, parsed, k, variant, hnsw)
+      val what = s"${AnnVariant.name(variant)} k=$k"
+      assert(cands.size == n, s"$what: ${cands.size} of $n entries")
+      assert(cands.map(_.patchId).distinct.size == n, what)
+      assert(cands.sliding(2).forall(w => w.size < 2 || w(0).score >= w(1).score),
+        s"$what: not in descending score order")
+    }
+  }
+
+  test("a dataset with zero keyframes is rejected before any index is built") {
+    val empty = Datasets.cityscapes.copy(name = "cityscapes-empty", nVideos = 0)
+    val e = intercept[IllegalArgumentException](Lovo.build(spark, empty, Seq.empty))
+    assert(e.getMessage.contains("no keyframes"), e.getMessage)
   }
 
   test("LovoConfig validates PQ dimensions") {

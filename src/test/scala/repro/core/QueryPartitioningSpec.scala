@@ -11,7 +11,8 @@ import repro.util.VecOps
 import repro.vit.BBox
 
 /** Query answers do not depend on how the stored Datasets are partitioned,
-  * and the ANN answer equals a driver-side reading of Algorithm 1.
+  * and the ANN answer equals a driver-side reading of Algorithm 1 whose
+  * boxes come from the relational metadata store.
   */
 class QueryPartitioningSpec extends SparkSpec {
   import QueryPartitioningSpec.Answer
@@ -20,13 +21,12 @@ class QueryPartitioningSpec extends SparkSpec {
   private lazy val b = bundle.build
   private val partitionCounts = Seq(1, 4, 16)
 
-  /** The same build with index, metadata store and frames in `n` partitions,
-    * all from the same PQ codebooks.
+  /** The same build with index and frames in `n` partitions, all from the
+    * same PQ codebooks.
     */
   private lazy val layouts: Seq[LovoBuild] = partitionCounts.map { n =>
     b.copy(
       index = InvertedMultiIndex.build(b.patches, b.index.pq, n),
-      meta = MetadataStore.build(b.patches.repartition(n)),
       frames = b.frames.repartition(n).cache())
   }
 
@@ -39,7 +39,7 @@ class QueryPartitioningSpec extends SparkSpec {
     val q = TextEncoder.fastEmbedding(parsed)
     val (hits, stats) =
       AnnSearch.search(lb.index, q, k, lb.cfg.topA, lb.cfg.rescoreFactor, lb.cfg.scanFraction)
-    val cands = MetadataStore.resolve(lb.meta, hits)
+    val cands = Lovo.fastSearch(lb, parsed, k)._1
     val frameOrder = cands.sortBy(c => (-c.score, c.frameId)).map(_.frameId).distinct
     Answer(hits, stats, BruteForce.search(lb.index, q, k)._1, cands,
       CrossModalRerank.rerank(lb.frames, frameOrder, parsed, lb.cfg.rerank))
@@ -48,9 +48,10 @@ class QueryPartitioningSpec extends SparkSpec {
   /** Algorithm 1 over the collected entries: rank cells by summed LUT score,
     * cover the scan budget, take the global top `rescoreDepth` by (ADC desc,
     * patch id), rescore exactly, keep the top k by (score desc, patch id).
+    * Each hit's box is its metadata row's.
     */
   private def reference(index: InvertedMultiIndex, q: Array[Float], k: Int,
-                        cfg: LovoConfig): (Seq[SearchHit], AnnStats) = {
+                        cfg: LovoConfig, metaById: Map[Long, PatchMeta]): (Seq[SearchHit], AnnStats) = {
     val pq = index.pq
     val qn = VecOps.normalize(q)
     val lut = pq.lut(qn)
@@ -66,7 +67,10 @@ class QueryPartitioningSpec extends SparkSpec {
     val approx = entries.filter(e => selected(e.cellId))
       .sortBy(e => (-pq.adcScore(lut, e.codes), e.patchId))
       .take(depth)
-    val hits = approx.map(e => SearchHit(e.patchId, e.frameId, VecOps.dot(qn, e.emb)))
+    val hits = approx.map { e =>
+      val m = metaById(e.patchId)
+      SearchHit(e.patchId, e.frameId, VecOps.dot(qn, e.emb), BBox(m.px, m.py, m.pw, m.ph))
+    }
       .sortBy(h => (-h.score, h.patchId))
       .take(k)
     (hits, AnnStats(pq.P.toLong * pq.M, cellCounts.size, selected.size, covered, approx.size))
@@ -94,11 +98,9 @@ class QueryPartitioningSpec extends SparkSpec {
   test("ANN hits, stats and resolved candidates equal the driver-side reference") {
     val metaById = b.meta.collect().map(m => m.patchId -> m).toMap
     for (((id, parsed, k), perLayout) <- answers) {
-      val (refHits, refStats) = reference(b.index, TextEncoder.fastEmbedding(parsed), k, b.cfg)
-      val refCands = refHits.map { h =>
-        val m = metaById(h.patchId)
-        Candidate(h.patchId, m.frameId, h.score, BBox(m.px, m.py, m.pw, m.ph))
-      }
+      val (refHits, refStats) =
+        reference(b.index, TextEncoder.fastEmbedding(parsed), k, b.cfg, metaById)
+      val refCands = refHits.map(h => Candidate(h.patchId, metaById(h.patchId).frameId, h.score, h.box))
       for ((a, n) <- perLayout.zip(partitionCounts)) {
         assert(a.hits == refHits, s"$id: hits differ from the reference at $n partitions")
         assert(a.stats == refStats, s"$id: AnnStats differ from the reference at $n partitions")
@@ -108,7 +110,7 @@ class QueryPartitioningSpec extends SparkSpec {
   }
 
   override def afterAll(): Unit = {
-    layouts.foreach { lb => lb.index.entries.unpersist(); lb.meta.unpersist(); lb.frames.unpersist() }
+    layouts.foreach { lb => lb.index.entries.unpersist(); lb.frames.unpersist() }
     super.afterAll()
   }
 }

@@ -20,7 +20,7 @@ class BruteForceSpec extends SparkSpec {
     val qn = VecOps.normalize(q)
     val (hits, _) = BruteForce.search(index, q, k = 25)
     val expected = index.entries.collect()
-      .map(e => SearchHit(e.patchId, e.frameId, VecOps.dot(qn, e.emb)))
+      .map(e => SearchHit(e.patchId, e.frameId, VecOps.dot(qn, e.emb), e.box))
       .sortBy(h => (-h.score, h.patchId))
       .take(25).toSeq
     assert(hits == expected)

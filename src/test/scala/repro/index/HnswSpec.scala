@@ -4,15 +4,19 @@ import scala.util.hashing.MurmurHash3
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Fixtures
 import repro.util.{Rng, VecOps}
+import repro.vit.{BBox, PatchRec}
 
 class HnswSpec extends AnyFunSuite {
 
   private val dim = 32
   private lazy val data = Fixtures.clusteredPatches(5, 60, dim)
 
+  /** A box distinct per patch, so a hit's box shows which node it came from. */
+  private def boxOf(p: PatchRec): BBox = BBox(p.patchId.toDouble, p.frameId.toDouble, 1, 2)
+
   private def freshIndex(seed: Long = 7L): HnswIndex = {
     val g = new HnswIndex(dim, M = 8, efConstruction = 64, seed = seed)
-    data.foreach(p => g.add(p.patchId, p.frameId, p.emb))
+    data.foreach(p => g.add(p.patchId, p.frameId, p.emb, boxOf(p)))
     g
   }
 
@@ -28,10 +32,11 @@ class HnswSpec extends AnyFunSuite {
 
   test("single-element index returns that element") {
     val g = new HnswIndex(dim)
-    g.add(42L, 7L, data.head.emb)
+    g.add(42L, 7L, data.head.emb, BBox(1, 2, 3, 4))
     val hits = g.search(data.head.emb, 3)
     assert(hits.map(_.patchId) == Seq(42L))
     assert(hits.head.frameId == 7L)
+    assert(hits.head.box == BBox(1, 2, 3, 4))
   }
 
   test("recall@10 vs exhaustive search exceeds 0.9") {
@@ -60,6 +65,25 @@ class HnswSpec extends AnyFunSuite {
     val byId = data.map(p => p.patchId -> p.emb).toMap
     for (h <- g.search(q, 8))
       assert(math.abs(h.score - VecOps.dot(q, byId(h.patchId))) < 1e-6)
+  }
+
+  test("each hit carries the box of its node") {
+    val g = freshIndex()
+    val byId = data.map(p => p.patchId -> p).toMap
+    val hits = (0 until 5).flatMap(c => g.search(Fixtures.clusterCentre(5, dim, c), 20))
+    assert(hits.nonEmpty)
+    for (h <- hits) assert(h.box == boxOf(byId(h.patchId)), s"patch ${h.patchId}")
+  }
+
+  test("a beam that covers the graph returns every node, best first") {
+    val g = freshIndex()
+    for (c <- 0 until 5; (k, ef) <- Seq((data.size, 8), (5, data.size))) {
+      val hits = g.search(Fixtures.clusterCentre(5, dim, c), k, ef)
+      val q = VecOps.normalize(Fixtures.clusterCentre(5, dim, c))
+      val exact = data.map(p => (p.patchId, VecOps.dot(q, p.emb)))
+        .sortBy(t => (-t._2, t._1)).take(k).map(_._1)
+      assert(hits.map(_.patchId) == exact, s"k=$k ef=$ef")
+    }
   }
 
   test("construction and search are deterministic in the seed") {
@@ -93,7 +117,7 @@ class HnswSpec extends AnyFunSuite {
     // arrays; equal counts and hits mean the same graph and traversal.
     val big = Fixtures.clusteredPatches(8, 300, dim)
     val g = new HnswIndex(dim, M = 8, efConstruction = 64, seed = 7L)
-    big.foreach(p => g.add(p.patchId, p.frameId, p.emb))
+    big.foreach(p => g.add(p.patchId, p.frameId, p.emb, boxOf(p)))
     assert(g.distComps == 696783L)
     val queries = (0 until 40).map(i =>
       Array.tabulate(dim)(j => Rng.gaussian(Rng.mix(991L, i.toLong), j.toLong).toFloat))
@@ -115,6 +139,6 @@ class HnswSpec extends AnyFunSuite {
 
   test("dimension mismatch on add is rejected") {
     val g = new HnswIndex(dim)
-    intercept[IllegalArgumentException] { g.add(1L, 1L, new Array[Float](dim + 1)) }
+    intercept[IllegalArgumentException] { g.add(1L, 1L, new Array[Float](dim + 1), BBox(0, 0, 1, 1)) }
   }
 }

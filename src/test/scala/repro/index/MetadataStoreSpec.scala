@@ -1,9 +1,16 @@
 package repro.index
 
 import repro.{Oracle, SparkSpec}
+import repro.core.{AnnVariant, Lovo}
+import repro.encoder.TextEncoder
 import repro.testkit.Fixtures
+import repro.vit.BBox
 
 class MetadataStoreSpec extends SparkSpec {
+
+  /** A hit as the vector store returns it; `resolve` ignores its box. */
+  private def hit(patchId: Long, frameId: Long, score: Double): SearchHit =
+    SearchHit(patchId, frameId, score, BBox(0, 0, 0, 0))
 
   private lazy val patches = {
     import spark.implicits._
@@ -18,7 +25,7 @@ class MetadataStoreSpec extends SparkSpec {
   test("resolve preserves hit order and attaches the right box") {
     val sample = patches.take(5)
     val hits = sample.zipWithIndex.map { case (p, i) =>
-      SearchHit(p.patchId, p.frameId, 10.0 - i)
+      hit(p.patchId, p.frameId, 10.0 - i)
     }.toSeq
     val resolved = MetadataStore.resolve(meta, hits)
     assert(resolved.map(_.patchId) == hits.map(_.patchId))
@@ -30,7 +37,7 @@ class MetadataStoreSpec extends SparkSpec {
   }
 
   test("unknown patch ids are silently dropped") {
-    val resolved = MetadataStore.resolve(meta, Seq(SearchHit(-999L, 0L, 1.0)))
+    val resolved = MetadataStore.resolve(meta, Seq(hit(-999L, 0L, 1.0)))
     assert(resolved.isEmpty)
   }
 
@@ -41,8 +48,8 @@ class MetadataStoreSpec extends SparkSpec {
   test("the metadata equi-join matches DuckDB (oracle)") {
     import spark.implicits._
     val hits = patches.take(7).zipWithIndex.map { case (p, i) =>
-      SearchHit(p.patchId, p.frameId, 1.0 + i)
-    }.toSeq :+ SearchHit(-999L, 0L, 0.5)
+      hit(p.patchId, p.frameId, 1.0 + i)
+    }.toSeq :+ hit(-999L, 0L, 0.5)
     val resolved = MetadataStore.resolve(meta, hits)
       .map(c => (c.patchId.toString, c.frameId.toString, c.score, c.box.x, c.box.h))
       .toDF("patchId", "frameId", "score", "px", "ph")
@@ -58,5 +65,35 @@ class MetadataStoreSpec extends SparkSpec {
         $"px".cast("string") as "px",
         $"ph".cast("string") as "ph"),
       "hits" -> hits.map(h => (h.patchId.toString, h.score.toString)).toDF("patchId", "score"))
+  }
+
+  test("every fast-search hit carries the box of its metadata row (DuckDB join by patchId)") {
+    import spark.implicits._
+    val b = Fixtures.cityscapes
+    val rows = for {
+      spec <- b.queries
+      variant <- AnnVariant.all
+    } yield {
+      val k = math.min(b.lcfg.retrievalMultiplier.toLong * spec.nPos, b.build.counts.entries).toInt
+      val hnsw = if (variant == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      val (cands, _) = Lovo.fastSearch(b.build, TextEncoder.parse(spec.text), k, variant, hnsw)
+      assert(cands.size == k, s"${spec.id} ${AnnVariant.name(variant)}")
+      cands.map(c => (spec.id, AnnVariant.name(variant), c.patchId.toString, c.frameId.toString,
+        c.box.x.toString, c.box.y.toString, c.box.w.toString, c.box.h.toString))
+    }
+    val cols = Seq("query", "variant", "patchId", "frameId", "px", "py", "pw", "ph")
+    val hits = rows.flatten.toDF(cols: _*)
+    // Both sides print the doubles with Double.toString, so equal strings
+    // are equal values.
+    val store = b.build.meta.collect().toSeq.map(m => (m.patchId.toString, m.frameId.toString,
+      m.px.toString, m.py.toString, m.pw.toString, m.ph.toString))
+      .toDF("patchId", "frameId", "px", "py", "pw", "ph")
+    Oracle.assertEquivalent(
+      hits,
+      """SELECT h.query AS query, h.variant AS variant, m.patchId AS patchId,
+        |       m.frameId AS frameId, m.px AS px, m.py AS py, m.pw AS pw, m.ph AS ph
+        |FROM hits h JOIN meta m ON h.patchId = m.patchId""".stripMargin,
+      "hits" -> hits.select($"query", $"variant", $"patchId"),
+      "meta" -> store)
   }
 }

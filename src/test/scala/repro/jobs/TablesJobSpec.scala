@@ -12,6 +12,22 @@ class TablesJobSpec extends AnyFunSuite {
     assert(TablesJob.tables.filterNot(_.needsSpark).map(_.name) == Seq("table2", "table6"))
   }
 
+  test("all reads each of its seven bundles through one build, released after its last table") {
+    import TablesJob.BundleKey
+    val all = TablesJob.select("all")
+    val keys = all.flatMap(_.bundles).distinct
+    assert(keys.size == 7)
+    assert(keys.count(!_.keyOnly) == 2)
+    val released = TablesJob.releases(all)
+    assert(released.flatten.sorted(Ordering.by((k: BundleKey) => (k.dataset, k.keyOnly))) ==
+      keys.sorted(Ordering.by((k: BundleKey) => (k.dataset, k.keyOnly))), "each bundle released once")
+    for ((t, i) <- all.zipWithIndex; key <- released(i)) {
+      assert(t.bundles.contains(key), s"${t.name} releases $key it does not read")
+      assert(!all.drop(i + 1).exists(_.bundles.contains(key)), s"$key released before a later reader")
+    }
+    assert(TablesJob.releases(TablesJob.select("table5")) == Seq(Seq(BundleKey("cityscapes"))))
+  }
+
   test("unknown table names are rejected before any session starts") {
     for (name <- Seq("table8", "table0", "Table4", "tables", ""))
       intercept[IllegalArgumentException](TablesJob.select(name))
